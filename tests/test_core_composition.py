@@ -1,5 +1,7 @@
 """Tests for the composition-based gate encoding (Section 6, Theorems 6.6 - 6.12)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.core.formulas import apply_gate_to_state
 from repro.core.tagging import tag, untag
 from repro.states import QuantumState
 from repro.ta import (
+    TreeAutomaton,
     all_basis_states_ta,
     basis_product_ta,
     basis_state_ta,
@@ -27,8 +30,107 @@ from repro.ta import (
     from_quantum_state,
     from_quantum_states,
 )
+from repro.ta.automaton import make_symbol
 
 ALL_GATE_KINDS = ["x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry"]
+AMPLITUDES = [ZERO, ONE, -ONE, SQRT2_INV, AlgebraicNumber(0, 1, 0, 0, 0)]
+
+
+@st.composite
+def state_sets(draw):
+    """1-4 random states on 2-5 qubits, amplitudes from a small alphabet.
+
+    Two to four draws (a repeat leaves fewer distinct states) with at most
+    two non-zero positions each, so members often share a half: over half
+    of the draws then give :func:`factored_ta` a nondeterministic state
+    below the root.
+    """
+    num_qubits = draw(st.integers(min_value=2, max_value=5))
+    basis = st.tuples(*[st.integers(min_value=0, max_value=1)] * num_qubits)
+    amplitudes = st.dictionaries(basis, st.sampled_from(AMPLITUDES), min_size=1, max_size=2)
+    return [QuantumState(num_qubits, amps) for amps in draw(st.lists(amplitudes, min_size=2, max_size=4))]
+
+
+def factored_ta(states) -> TreeAutomaton:
+    """A TA for exactly ``states`` whose states below the root are nondeterministic.
+
+    ``from_quantum_states`` gives every state a single transition.  Here a set
+    of subtrees is one state with a transition per distinct value of its
+    less varied half, whose other child generates every half that goes with
+    it — so members that share a half make that child nondeterministic.
+    """
+    num_qubits = states[0].num_qubits
+    internal, leaves, ids = {}, {}, {}
+
+    def build(depth, subtrees):
+        key = (depth, subtrees)
+        if key in ids:
+            return ids[key]
+        state = ids[key] = len(ids)
+        if depth == num_qubits:
+            ((amplitude,),) = subtrees
+            leaves[state] = amplitude
+            return state
+        half = len(next(iter(subtrees))) // 2
+        pairs = {(tree[:half], tree[half:]) for tree in subtrees}
+        by_left = len({left for left, _ in pairs}) <= len({right for _, right in pairs})
+        groups = {}
+        for left, right in pairs:
+            shared, other = (left, right) if by_left else (right, left)
+            groups.setdefault(shared, set()).add(other)
+        transitions = []
+        for shared, others in groups.items():
+            # a leaf state holds one amplitude, so the last level cannot share
+            for other in ([others] if depth < num_qubits - 1 else [{o} for o in others]):
+                shared_state = build(depth + 1, frozenset([shared]))
+                other_state = build(depth + 1, frozenset(other))
+                pair = (shared_state, other_state) if by_left else (other_state, shared_state)
+                transitions.append((make_symbol(depth), *pair))
+        internal[state] = transitions
+        return state
+
+    vectors = frozenset(
+        tuple(state[bits] for bits in itertools.product((0, 1), repeat=num_qubits))
+        for state in states
+    )
+    return TreeAutomaton(num_qubits, {build(0, vectors)}, internal, leaves)
+
+
+def tagged_language(automaton):
+    """Every tree of a small automaton, tags included, as nested tuples.
+
+    ``check_equivalence`` only sees untagged trees, where a zipped subtree
+    no longer shows whose tags it follows; ``binary_operation`` pairs terms
+    by exactly those tags (Thm 6.12).
+    """
+    memo = {}
+
+    def trees(state):
+        if state not in memo:
+            if state in automaton.leaves:
+                memo[state] = frozenset([automaton.leaves[state]])
+            else:
+                memo[state] = frozenset(
+                    (symbol, left_tree, right_tree)
+                    for symbol, left, right in automaton.internal.get(state, ())
+                    for left_tree in trees(left)
+                    for right_tree in trees(right)
+                )
+        return memo[state]
+
+    return frozenset().union(*(trees(root) for root in automaton.roots))
+
+
+def swap_chain_projection(automaton, qubit, bit):
+    """The paper's Prj (Eq. 13, Algs. 6-8): swap the qubit down, copy, swap back."""
+    depth_moves = automaton.num_qubits - 1 - qubit
+    result = automaton
+    for _ in range(depth_moves):
+        result = forward_swap(result, qubit).reduce()
+    result = subtree_copy(result, qubit, bit)
+    for _ in range(depth_moves):
+        result = backward_swap(result, qubit).reduce()
+    return result
 
 
 def expected_automaton(automaton, gate):
@@ -122,6 +224,15 @@ class TestSwapsAndProjection:
         states = copied.enumerate_states()
         assert states[0][(0, 0)] == ONE and states[0][(0, 1)] == ONE
 
+    @staticmethod
+    def projected_state(state, qubit, bit):
+        result = QuantumState(state.num_qubits)
+        for bits in itertools.product((0, 1), repeat=state.num_qubits):
+            source = list(bits)
+            source[qubit] = bit
+            result[bits] = state[tuple(source)]
+        return result
+
     @pytest.mark.parametrize("qubit,bit", [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
     def test_projection_matches_tree_semantics(self, qubit, bit):
         state = QuantumState(
@@ -134,29 +245,58 @@ class TestSwapsAndProjection:
         )
         automaton = tag(from_quantum_state(state))
         projected = untag(projection(automaton, qubit, bit)).reduce()
-        expected = QuantumState(3)
-        import itertools
-
-        for bits in itertools.product((0, 1), repeat=3):
-            source = list(bits)
-            source[qubit] = bit
-            expected[bits] = state[tuple(source)]
+        expected = self.projected_state(state, qubit, bit)
         assert check_equivalence(projected, from_quantum_state(expected)).equivalent
 
     def test_projection_on_a_set_of_states(self):
         automaton = tag(all_basis_states_ta(3))
-        projected = untag(projection(automaton, 0, 1)).reduce()
-        expected_states = []
-        import itertools
+        for qubit in range(3):
+            for bit in (0, 1):
+                projected = untag(projection(automaton, qubit, bit)).reduce()
+                expected_states = [
+                    self.projected_state(QuantumState.basis_state(3, index), qubit, bit)
+                    for index in range(8)
+                ]
+                expected = from_quantum_states(expected_states)
+                assert check_equivalence(projected, expected).equivalent, (qubit, bit)
 
-        for index in range(8):
-            state = QuantumState.basis_state(3, index)
-            result = QuantumState(3)
-            for bits in itertools.product((0, 1), repeat=3):
-                source = (1,) + bits[1:]
-                result[bits] = state[source]
-            expected_states.append(result)
-        assert check_equivalence(projected, from_quantum_states(expected_states)).equivalent
+    @given(state_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_projection_agrees_with_the_swap_chain(self, states):
+        automaton = factored_ta(states)
+        assert check_equivalence(automaton, from_quantum_states(states)).equivalent
+        tagged = tag(automaton)
+        for qubit in range(automaton.num_qubits):
+            for bit in (0, 1):
+                direct = projection(tagged, qubit, bit)
+                chain = swap_chain_projection(tagged, qubit, bit)
+                assert check_equivalence(untag(direct), untag(chain)).equivalent, (qubit, bit)
+                assert tagged_language(direct) == tagged_language(chain), (qubit, bit)
+
+    def test_projection_keeps_runs_of_a_nondeterministic_child_apart(self):
+        # the root's left (kept) child generates |01> or |10>: each run must
+        # carry its own leaves onto the zipped right side, never the other's
+        states = [QuantumState.basis_state(3, "001"), QuantumState.basis_state(3, "010")]
+        automaton = factored_ta(states)
+        (root_transition,) = automaton.internal[next(iter(automaton.roots))]
+        assert len(automaton.internal[root_transition[1]]) == 2
+        projected = untag(projection(tag(automaton), 0, 0)).reduce()
+        expected = [self.projected_state(state, 0, 0) for state in states]
+        assert check_equivalence(projected, from_quantum_states(expected)).equivalent
+
+    def test_projection_rejects_a_cyclic_automaton(self):
+        cyclic = TreeAutomaton(
+            2, {0}, {0: [(make_symbol(0), 1, 1)], 1: [(make_symbol(1), 1, 2)]}, {2: ONE}
+        )
+        with pytest.raises(ValueError):
+            projection(cyclic, 0, 1)
+
+    def test_projection_builds_no_useless_state(self):
+        tagged = tag(all_basis_states_ta(4))
+        for qubit in range(4):
+            for bit in (0, 1):
+                projected = projection(tagged, qubit, bit)
+                assert projected.remove_useless() is projected
 
 
 class TestBinaryOperation:
@@ -216,6 +356,31 @@ class TestFullGateApplication:
         automaton = all_basis_states_ta(3)
         result = apply_composition_gate(automaton, gate).reduce()
         assert check_equivalence(result, expected_automaton(automaton, gate)).equivalent
+
+    @given(state_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_gates_on_nondeterministic_sets(self, states, rng):
+        automaton = factored_ta(states)
+        qubits = range(automaton.num_qubits)
+        gates = [Gate(kind, (target,)) for kind in ("x", "y", "h", "rx", "ry") for target in qubits]
+        gates += [Gate("cx", (control, target)) for control in qubits for target in qubits
+                  if control != target]
+        if automaton.num_qubits >= 3:
+            gates.append(Gate("ccx", tuple(rng.sample(qubits, 3))))
+        for gate in gates:
+            result = apply_composition_gate(automaton, gate).reduce()
+            expected = from_quantum_states([apply_gate_to_state(gate, state) for state in states])
+            assert check_equivalence(result, expected).equivalent, gate
+
+    def test_projection_handles_deep_automata(self):
+        # one worklist, no recursion frame per level: 1500 levels would
+        # overflow the interpreter stack (the input and oracle builders
+        # recurse, so the check is structural)
+        num_qubits = 1500
+        automaton = basis_product_ta(num_qubits, [{0}] * num_qubits)
+        result = apply_composition_gate(automaton, Gate("h", (0,))).reduce()
+        assert result.num_states == 2 * num_qubits
+        assert set(result.leaves.values()) == {ZERO, SQRT2_INV}
 
     def test_result_is_untagged(self):
         automaton = all_basis_states_ta(2)
