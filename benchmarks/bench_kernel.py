@@ -90,145 +90,25 @@ def _setup_reduce_warm(num_qubits: int):
     return automaton
 
 
-#: qubit sizes for the per-backend rows (grover-hybrid scale automata)
-BACKEND_SIZES = (8, 9)
-#: stacked basis states per operand at each backend size
-_BACKEND_STACK = {8: 48, 9: 80}
-
-
-def _backend_names() -> Tuple[str, ...]:
-    from repro.ta import kernel as ta_kernel
-
-    return ta_kernel.available_backends()
-
-
-def _union_stacked_ta(num_qubits: int, count: int, seed: int):
-    """A union chain of random basis states, relabelled to contiguous ids.
-
-    Unlike :func:`stacked_basis_ta` this duplicates the suffix layers of every
-    branch, producing the deeply redundant shape the mid-pipeline reductions
-    see after a gate product.
-    """
-    from repro.ta import basis_state_ta
-
-    rng = random.Random(seed)
-    automaton = basis_state_ta(num_qubits, rng.randrange(2**num_qubits))
-    for _ in range(count - 1):
-        automaton = automaton.union(
-            basis_state_ta(num_qubits, rng.randrange(2**num_qubits))
-        )
-    return automaton.relabelled()
-
-
-def _backend_operands(num_qubits: int):
-    count = _BACKEND_STACK[num_qubits]
-    return (
-        _union_stacked_ta(num_qubits, count, seed=3),
-        _union_stacked_ta(num_qubits, count, seed=11),
-    )
-
-
-def _setup_backend_useless(num_qubits: int, backend_name: str):
-    """A union product — ``remove_useless`` exactly as it runs after a gate.
-
-    The product is built *by the backend under test*, as the engine does: the
-    vectorized backend hands its own product (with the attached array form) to
-    ``remove_useless``, which is the fused mid-pipeline case being measured.
-    """
-    from repro.ta import kernel as ta_kernel
-
-    left, right = _backend_operands(num_qubits)
-    backend = ta_kernel.get_backend(backend_name)
-    product = backend.binary_operation(left, right)
-    clear_kernel_caches()
-    return backend, product
-
-
-def _setup_backend_reduce(num_qubits: int, backend_name: str):
-    """The useless-free product — massively mergeable suffix layers.
-
-    Built by the backend under test so the vectorized reduce sees the fused
-    array form its own pipeline produces (see :func:`_setup_backend_useless`).
-    """
-    from repro.ta import kernel as ta_kernel
-
-    left, right = _backend_operands(num_qubits)
-    backend = ta_kernel.get_backend(backend_name)
-    useless_free = backend.remove_useless(backend.binary_operation(left, right))
-    useless_free._state_depths()
-    clear_kernel_caches()
-    return backend, useless_free
-
-
-def _setup_backend_pipeline(num_qubits: int, backend_name: str):
-    """Both operands, raw: the run times product -> prune -> reduce fused."""
-    from repro.ta import kernel as ta_kernel
-
-    left, right = _backend_operands(num_qubits)
-    backend = ta_kernel.get_backend(backend_name)
-    clear_kernel_caches()
-    return backend, left, right
-
-
-def _run_backend_pipeline(state):
-    backend, left, right = state
-    useless_free = backend.remove_useless(backend.binary_operation(left, right))
-    useless_free._state_depths()
-    return backend.reduce_layered(useless_free)
-
-
-def _pinned_reference(run: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """Run a legacy micro-row under the reference kernel regardless of the
-    process-wide selection: these rows have tracked the pure-Python kernel
-    since before backends were pluggable, and their committed baselines must
-    keep measuring that same code path (the backend comparison has its own
-    ``kernel/backend-*`` rows)."""
-
-    def pinned(state):
-        from repro.ta import kernel as ta_kernel
-
-        with ta_kernel.use_backend("reference"):
-            return run(state)
-
-    return pinned
-
-
 def _build_workloads() -> Dict[str, Tuple[Callable[[], Any], Callable[[Any], Any]]]:
     workloads: Dict[str, Tuple[Callable[[], Any], Callable[[Any], Any]]] = {}
     for n in KERNEL_SIZES:
         workloads[f"kernel/restrict/n{n}"] = (
             lambda n=n: _setup_restrict(n),
-            _pinned_reference(lambda a, n=n: restrict(a, n // 2, 1)),
+            lambda a, n=n: restrict(a, n // 2, 1),
         )
         workloads[f"kernel/binary_operation/n{n}"] = (
             lambda n=n: _setup_binary_operation(n),
-            _pinned_reference(lambda operands: binary_operation(operands[0], operands[1])),
+            lambda operands: binary_operation(operands[0], operands[1]),
         )
         workloads[f"kernel/reduce/n{n}"] = (
             lambda n=n: _setup_reduce(n),
-            _pinned_reference(lambda a: a.reduce()),
+            lambda a: a.reduce(),
         )
         workloads[f"kernel/reduce-warm/n{n}"] = (
             lambda n=n: _setup_reduce_warm(n),
-            _pinned_reference(lambda a: a.reduce()),
+            lambda a: a.reduce(),
         )
-    # per-backend rows: identical inputs, one row per available kernel backend.
-    # The /<backend> suffix keeps these out of the CI smoke subset (which
-    # selects rows ending "/n5") — they are the slow, speedup-proving rows.
-    for n in BACKEND_SIZES:
-        for backend_name in _backend_names():
-            workloads[f"kernel/backend-useless/n{n}/{backend_name}"] = (
-                lambda n=n, b=backend_name: _setup_backend_useless(n, b),
-                lambda state: state[0].remove_useless(state[1]),
-            )
-            workloads[f"kernel/backend-reduce/n{n}/{backend_name}"] = (
-                lambda n=n, b=backend_name: _setup_backend_reduce(n, b),
-                lambda state: state[0].reduce_layered(state[1]),
-            )
-            workloads[f"kernel/backend-pipeline/n{n}/{backend_name}"] = (
-                lambda n=n, b=backend_name: _setup_backend_pipeline(n, b),
-                _run_backend_pipeline,
-            )
     return workloads
 
 

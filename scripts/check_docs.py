@@ -49,7 +49,6 @@ CHECKED_FILES = (
     "docs/caching.md",
     "docs/distributed.md",
     "docs/fuzzing.md",
-    "docs/kernel.md",
     "docs/robustness.md",
     "docs/service.md",
 )

@@ -396,7 +396,7 @@ class FuzzProblem(Problem):
 
     KIND: ClassVar[str] = "fuzz"
     #: oracle families ``checks`` may name (mirrors ``repro.fuzz.driver.FUZZ_CHECKS``)
-    CHECKS: ClassVar[Tuple[str, ...]] = ("boolean", "cross-mode", "kernel-parity")
+    CHECKS: ClassVar[Tuple[str, ...]] = ("boolean", "cross-mode")
     FIELD_DECODERS: ClassVar[Dict[str, object]] = {
         "checks": _tuple_of_str,
         "modes": _tuple_of_str,

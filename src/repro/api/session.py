@@ -37,7 +37,6 @@ from ..faults import FaultPlan
 from ..simulator import StateVectorSimulator
 from ..states import QuantumState
 from ..ta import all_basis_states_ta
-from ..ta import kernel as ta_kernel
 from .problems import (
     BugHuntProblem,
     CampaignProblem,
@@ -91,12 +90,6 @@ class SessionConfig:
     #: ``docs/robustness.md``); ``None`` = the ambient ``AUTOQ_REPRO_FAULTS``
     #: env plan, if any.  Threaded into campaigns (parent + pool workers).
     fault_plan: Optional["FaultPlan"] = None
-    #: TA kernel backend for this session ("reference"/"numpy"/"auto"; see
-    #: ``docs/kernel.md``).  ``None`` keeps the process-wide selection
-    #: (``AUTOQ_REPRO_KERNEL`` or auto-detection) untouched; a name is
-    #: activated while the session is open and restored on ``close()``.
-    #: Unknown or unavailable names raise on session construction.
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -108,13 +101,6 @@ class Session:
 
     def __init__(self, config: Optional[SessionConfig] = None, **overrides):
         self.config = replace(config or SessionConfig(), **overrides)
-        self._previous_kernel: Optional[str] = None
-        if self.config.kernel_backend is not None:
-            # raises for unknown/unavailable names — an explicit request that
-            # silently ran a different kernel would be a lie
-            self._previous_kernel = ta_kernel.set_active_backend(
-                self.config.kernel_backend
-            )
         self._runtime = GateRuntime()
         if self.config.store_dir:
             # direct (non-campaign) runs use the store only when it is
@@ -136,12 +122,8 @@ class Session:
         return self._runtime
 
     def close(self) -> None:
-        """Reset the runtime: drop the memo, detach the store, restore the
-        process-wide kernel selection this session overrode (if any)."""
+        """Reset the runtime: drop the memo and detach the store."""
         self._runtime.reset()
-        if self._previous_kernel is not None:
-            ta_kernel.set_active_backend(self._previous_kernel)
-            self._previous_kernel = None
 
     def __enter__(self) -> "Session":
         return self

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..circuits.circuit import Circuit
 from ..simulator.dense import circuit_unitary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["UnitaryResult", "check_unitary_equivalence", "unitaries_equal_up_to_phase"]
 
@@ -33,6 +35,8 @@ class UnitaryResult:
 
 def unitaries_equal_up_to_phase(first: np.ndarray, second: np.ndarray, tolerance: float = 1e-8) -> bool:
     """True iff ``first == phase * second`` for some unit complex ``phase``."""
+    import numpy as np
+
     if first.shape != second.shape:
         return False
     # find a reference entry with a significant magnitude to fix the phase
@@ -47,6 +51,8 @@ def unitaries_equal_up_to_phase(first: np.ndarray, second: np.ndarray, tolerance
 
 def check_unitary_equivalence(first: Circuit, second: Circuit, max_qubits: int = 12) -> UnitaryResult:
     """Compare two circuits by building their full unitaries (exponential)."""
+    import numpy as np
+
     start = time.perf_counter()
     if first.num_qubits != second.num_qubits:
         return UnitaryResult(False, time.perf_counter() - start, float("inf"))

@@ -150,7 +150,6 @@ from .campaign.plan import MUTATION_KINDS
 from .circuits import inject_random_gate, load_qasm_file, save_qasm_file
 from .circuits.metrics import summarise as circuit_summary
 from .core import AnalysisMode
-from .ta.kernel import backend_names as kernel_backend_names
 from .ta.store import AutomatonStore, default_store_dir
 from .ta.timbuk import save_timbuk
 
@@ -342,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: $AUTOQ_REPRO_FUZZ_CORPUS when set)")
     fuzz.add_argument("--checks", default=None,
                       help="comma-separated oracle families from "
-                           "('boolean', 'cross-mode', 'kernel-parity') "
-                           "(default: boolean + cross-mode)")
+                           "('boolean', 'cross-mode') (default: both)")
     fuzz.add_argument("--modes", default=None,
                       help="comma-separated engine modes for the cross-mode oracle "
                            f"from {AnalysisMode.ALL} (default: all)")
@@ -415,12 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--server", metavar="URL", default=None,
             help="send this problem to a running 'serve' daemon instead of "
                  "analysing in-process (default: $AUTOQ_REPRO_SERVER when set)",
-        )
-    for name in ("verify", "simulate", "equivalence", "bughunt", "campaign", "fuzz"):
-        subparsers.choices[name].add_argument(
-            "--kernel", choices=(*kernel_backend_names(), "auto"), default=None,
-            help="TA kernel backend for this run (default: $AUTOQ_REPRO_KERNEL "
-                 "or auto-detection; 'numpy' requires numpy)",
         )
     return parser
 
@@ -521,7 +513,6 @@ def _session(args, **overrides) -> Session:
         manifest_dir=getattr(args, "manifest_dir", None),
         report_dir=getattr(args, "report_dir", "campaign_reports"),
         fault_plan=_parse_fault_plan(getattr(args, "faults", None)),
-        kernel_backend=getattr(args, "kernel", None),
     )
     from dataclasses import replace
 

@@ -421,9 +421,10 @@ def binary_operation(
     A product construction over matching (tagged) symbols; leaf amplitudes are
     added (or subtracted).  Only pairs reachable from the root pairs are built.
 
-    Dispatches to the active kernel backend (:mod:`repro.ta.kernel`); the
-    reference worklist construction lives in
-    :func:`repro.ta.kernel.reference.binary_operation`.
+    The worklist construction is
+    :func:`repro.ta.kernel.reference.binary_operation`; this wrapper calls it
+    through the kernel instance (:mod:`repro.ta.kernel`), where a profiler
+    can count it.
     """
     return kernel.active_backend().binary_operation(left, right, subtract)
 

@@ -233,9 +233,9 @@ class EngineStatistics:
     #: analysis — too many consecutive I/O faults — and the engine detached
     #: it and kept computing without the tier (see ``docs/robustness.md``)
     store_disabled: bool = False
-    #: name of the TA kernel backend the analysis ran under ("reference" /
-    #: "numpy"; see ``docs/kernel.md``); "" on instances that predate the
-    #: pluggable kernel (restored from old JSON)
+    #: name of the TA kernel the analysis ran under (always "reference",
+    #: :func:`repro.ta.kernel.active_backend_name`); "" on instances restored
+    #: from JSON written before the field existed
     kernel_backend: str = ""
     #: derived per-gate aggregates restored by :meth:`from_dict`; a restored
     #: instance has no raw ``per_gate_seconds`` samples, only these

@@ -15,15 +15,17 @@ queue needs no server and works on any shared directory (local disk for
 same-host workers, NFS-style mounts across hosts):
 
 **Atomic claim with fencing tokens.**  A claim on cell C at generation *t*
-is the file ``claims/C.t<t>.json``, created with ``O_CREAT|O_EXCL`` — the
-filesystem picks exactly one winner per ``(cell, token)``.  The live claim is
-the one with the *highest* token; to claim a cell a worker reads the current
-top claim, verifies it is stale (:func:`repro.campaign.manifest.lease_is_stale`
-— dead pid on this host, or heartbeat older than the TTL), and races to
-create generation ``t+1``.  Losing the race is just ``FileExistsError``.  The
-token is a per-cell fencing token: it only ever grows, every completion
-records the token it ran under, and a worker that discovers a higher
-generation than its own knows it has been deposed.
+is the file ``claims/C.t<t>.json``, created by hard-linking a fully written
+temp file into place — ``link`` fails if the name exists, so the filesystem
+picks exactly one winner per ``(cell, token)``, and no reader ever sees a
+half-written claim.  The live claim is the one with the *highest* token; to
+claim a cell a worker reads the current top claim, verifies it is stale
+(:func:`repro.campaign.manifest.lease_is_stale` — dead pid on this host, or
+heartbeat older than the TTL), and races to create generation ``t+1``.
+Losing the race is just ``FileExistsError``.  The token is a per-cell
+fencing token: it only ever grows, every completion records the token it ran
+under, and a worker that discovers a higher generation than its own knows it
+has been deposed.
 
 **Heartbeat renewal.**  The claim owner periodically rewrites its claim file
 (atomic temp + ``os.replace``) with a fresh heartbeat.  The scheduler
@@ -125,7 +127,7 @@ def result_fingerprint(summary: Dict) -> str:
 
 
 class _ClaimLost(Exception):
-    """Internal: another worker won the ``O_EXCL`` race for this token.
+    """Internal: another worker won the exclusive-create race for this token.
 
     Deliberately not an ``OSError`` — losing a race is a deterministic
     outcome, and the retry policy (allowlist: ``OSError``) must not burn
@@ -302,14 +304,25 @@ class JobQueue:
 
     # ---------------------------------------------------------------- claim
     def _write_claim(self, path: str, payload: Dict) -> None:
-        """The ``O_CREAT|O_EXCL`` race; the ``queue.claim`` fault site."""
+        """The exclusive-create race; the ``queue.claim`` fault site.
+
+        The claim is written to a temp file and hard-linked into place, so a
+        concurrent claimer never reads a half-written claim, which would
+        parse as a stale lease and be superseded while its owner runs.
+        """
         inject("queue.claim")
+        fd, temp_path = tempfile.mkstemp(dir=self.claim_dir, suffix=".tmp")
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, sort_keys=True, indent=2)
+            os.link(temp_path, path)
         except FileExistsError as error:
             raise _ClaimLost(path) from error
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
+        finally:
+            try:
+                os.unlink(temp_path)
+            except OSError:
+                pass
 
     def claim(self, cell_id: str) -> Optional[QueueLease]:
         """Try to take ownership of a cell; ``None`` when unavailable.

@@ -40,7 +40,6 @@ from .oracles import (
     OracleVerdict,
     boolean_oracle,
     cross_mode_oracle,
-    kernel_parity_oracle,
     static_prefilter,
 )
 from .shrink import shrink_circuit, shrink_states
@@ -48,7 +47,7 @@ from .shrink import shrink_circuit, shrink_states
 __all__ = ["FUZZ_CHECKS", "FuzzOutcome", "FuzzSettings", "replay_corpus", "replay_entry", "run_fuzz"]
 
 #: the oracle families the driver can run
-FUZZ_CHECKS: Tuple[str, ...] = ("boolean", "cross-mode", "kernel-parity")
+FUZZ_CHECKS: Tuple[str, ...] = ("boolean", "cross-mode")
 
 
 @dataclass(frozen=True)
@@ -203,51 +202,6 @@ def _run_cross_mode_case(
     )
 
 
-def _run_kernel_parity_case(
-    case: FuzzCase,
-    outcome: FuzzOutcome,
-    corpus: Optional[Corpus],
-    seen: set,
-) -> None:
-    """Check the kernel conformance contract on one generated circuit.
-
-    No static prefilter here: the oracle compares backends against each other
-    on the *same* circuit, so mutant-vs-seed equivalence is irrelevant; only
-    circuit-level deduplication applies.
-    """
-    qasm = to_qasm(case.circuit)
-    key = ("kernel-parity", fingerprint_qasm(qasm), case.input_bits)
-    if key in seen:
-        outcome.prefiltered += 1
-        return
-    seen.add(key)
-    verdict = kernel_parity_oracle(case.circuit, case.input_bits)
-    if verdict.ok:
-        return
-
-    def still_diverges(candidate) -> bool:
-        return not kernel_parity_oracle(candidate, case.input_bits).ok
-
-    minimized = shrink_circuit(case.circuit, still_diverges)
-    final = kernel_parity_oracle(minimized, case.input_bits)
-    if final.ok:  # flaky shrink target; keep the unshrunk reproduction
-        minimized, final = case.circuit, verdict
-    from ..ta import kernel as ta_kernel
-
-    entry = None
-    payload = {
-        "circuit_qasm": to_qasm(minimized),
-        "input_bits": "".join(map(str, case.input_bits)),
-        "backends": list(ta_kernel.available_backends()),
-    }
-    if corpus is not None:
-        entry = corpus.add(
-            "kernel-parity", payload, seed=case.seed, detail=final.detail
-        )
-        outcome.corpus_entries.append(entry)
-    outcome.findings.append(_finding(final, entry_id=entry, case_seed=case.seed))
-
-
 def _run_boolean_case(
     case: BooleanCase,
     outcome: FuzzOutcome,
@@ -317,20 +271,6 @@ def run_fuzz(
                 ),
             )
         )
-    if "kernel-parity" in settings.checks:
-        # an offset seed decorrelates this stream from the cross-mode one so
-        # the two checks do not burn budget on identical circuits
-        streams.append(
-            (
-                "kernel-parity",
-                generate_cases(
-                    settings.seed + 0x6B70,
-                    max_qubits=settings.max_qubits,
-                    max_gates=settings.max_gates,
-                    mutation_kinds=settings.mutation_kinds,
-                ),
-            )
-        )
     start = time.perf_counter()
     deadline = start + settings.budget_seconds
     seen: set = set()
@@ -346,8 +286,6 @@ def run_fuzz(
             outcome.cases += 1
             if name == "boolean":
                 _run_boolean_case(case, outcome, corpus)
-            elif name == "kernel-parity":
-                _run_kernel_parity_case(case, outcome, corpus, seen)
             else:
                 _run_cross_mode_case(case, settings, outcome, corpus, runtime, seen)
     outcome.elapsed_seconds = time.perf_counter() - start
@@ -367,17 +305,6 @@ def replay_entry(document: Dict, runtime: Optional[GateRuntime] = None) -> Oracl
             modes=tuple(payload["modes"]),
             runtime=runtime,
             include_path_sum=bool(payload.get("include_path_sum", False)),
-        )
-    if check == "kernel-parity":
-        circuit = parse_qasm(payload["circuit_qasm"])
-        input_bits = tuple(int(bit) for bit in payload["input_bits"])
-        # the recorded backends are an upper bound: the oracle skips any that
-        # are unavailable here (a numpy-less replay passes trivially)
-        backends = payload.get("backends")
-        return kernel_parity_oracle(
-            circuit,
-            input_bits,
-            backends=None if backends is None else tuple(backends),
         )
     if check == "boolean":
         left = serialization.from_payload(payload["left_ta"])

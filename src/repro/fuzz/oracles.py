@@ -1,6 +1,6 @@
 """Differential oracles: the engine against every independent semantics we have.
 
-Three oracle families, each returning an :class:`OracleVerdict`:
+Two oracle families, each returning an :class:`OracleVerdict`:
 
 * :func:`cross_mode_oracle` — run one circuit gate by gate through every
   engine :class:`~repro.core.engine.AnalysisMode` and the statevector,
@@ -9,10 +9,6 @@ Three oracle families, each returning an :class:`OracleVerdict`:
   ``tests/test_differential.py`` promoted to a reusable library: the test
   module now imports :func:`assert_states_close`, :func:`evaluate_path_sum`
   and friends from here.
-* :func:`kernel_parity_oracle` — run one circuit under every available TA
-  kernel backend (:mod:`repro.ta.kernel`) and demand *bit-identical* automata
-  — equal ``structure_key()`` — after every gate, enforcing the kernel
-  conformance contract differentially.
 * :func:`boolean_oracle` — check the boolean TA layer
   (:mod:`repro.ta.boolean`) against brute-force enumeration of the full tree
   universe at small sizes: every tree over a finite leaf alphabet is tested
@@ -58,7 +54,6 @@ __all__ = [
     "brute_language",
     "cross_mode_oracle",
     "evaluate_path_sum",
-    "kernel_parity_oracle",
     "prefix_path_sum_states",
     "random_permutation_circuit",
     "state_key",
@@ -279,89 +274,6 @@ def cross_mode_oracle(
                     witness=repr(state),
                 )
     return OracleVerdict(ok=True, check="cross-mode")
-
-
-def kernel_parity_oracle(
-    circuit: Circuit,
-    input_bits: Sequence[int],
-    backends: Optional[Sequence[str]] = None,
-) -> OracleVerdict:
-    """Run one circuit under every available TA kernel backend; the automata
-    must be *bit-identical* (equal ``structure_key()``) after every gate.
-
-    This is the conformance contract of :mod:`repro.ta.kernel` turned into a
-    differential oracle.  Each backend gets a fresh :class:`GateRuntime` and a
-    cleared reduce cache — a warm cache or memo would serve one backend's
-    automata to the other and mask a divergence.  Vectorized backends are
-    forced onto their vector code paths (size thresholds zeroed) because fuzz
-    circuits are small enough to delegate everything to the reference
-    otherwise.  Backends named in ``backends`` but not available here are
-    skipped; with fewer than two usable backends there is nothing to compare
-    and the verdict is trivially ok (so corpus replays pass without numpy).
-    Engine exceptions count as divergences — a crash is a bug the corpus
-    should remember.
-    """
-    from ..ta import kernel as ta_kernel
-    from ..ta.automaton import clear_reduce_cache
-
-    names: List[str] = []
-    for name in (backends if backends is not None else ta_kernel.available_backends()):
-        try:
-            ta_kernel.get_backend(name)
-        except (ImportError, ValueError):
-            continue
-        names.append(name)
-    if len(names) < 2:
-        return OracleVerdict(ok=True, check="kernel-parity")
-    gates = list(circuit.decomposed())
-    trails: Dict[str, List[Tuple]] = {}
-    for name in names:
-        backend = ta_kernel.get_backend(name)
-        saved_thresholds = getattr(backend, "thresholds", None)
-        if saved_thresholds is not None:
-            backend.thresholds = {key: 0 for key in saved_thresholds}
-        engine = CircuitEngine(mode=AnalysisMode.HYBRID, runtime=GateRuntime())
-        clear_reduce_cache()
-        automaton = basis_state_ta(circuit.num_qubits, input_bits)
-        trail: List[Tuple] = []
-        try:
-            with ta_kernel.use_backend(name):
-                for gate in gates:
-                    automaton = engine.apply_gate(automaton, gate)
-                    trail.append(automaton.structure_key())
-        except Exception as error:  # noqa: BLE001 - crashes are findings
-            return OracleVerdict(
-                ok=False,
-                check="kernel-parity",
-                detail=(
-                    f"kernel/{name} raised {error!r} applying gate "
-                    f"{len(trail)} ({gates[len(trail)]})"
-                ),
-                gate_index=len(trail),
-                mode=name,
-            )
-        finally:
-            if saved_thresholds is not None:
-                backend.thresholds = saved_thresholds
-            clear_reduce_cache()
-        trails[name] = trail
-    baseline_name = names[0]
-    baseline = trails[baseline_name]
-    for name in names[1:]:
-        for position, (expected, actual) in enumerate(zip(baseline, trails[name])):
-            if expected != actual:
-                return OracleVerdict(
-                    ok=False,
-                    check="kernel-parity",
-                    detail=(
-                        f"kernel/{name} is not bit-identical to "
-                        f"kernel/{baseline_name} after gate {position} "
-                        f"({gates[position]})"
-                    ),
-                    gate_index=position,
-                    mode=name,
-                )
-    return OracleVerdict(ok=True, check="kernel-parity")
 
 
 # --------------------------------------------------------------------------

@@ -9,19 +9,11 @@ matching thin client.
 """
 
 from .metrics import ServiceMetrics
-from .server import (
-    ServiceConfig,
-    ServiceServer,
-    VerificationService,
-    build_fastapi_app,
-    fastapi_available,
-)
+from .server import ServiceConfig, ServiceServer, VerificationService
 
 __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceServer",
     "VerificationService",
-    "build_fastapi_app",
-    "fastapi_available",
 ]

@@ -28,7 +28,6 @@ import threading
 from typing import Dict, Optional
 
 from ..faults import active_injector
-from ..ta.kernel import active_backend_name
 
 __all__ = ["ServiceMetrics"]
 
@@ -189,10 +188,6 @@ class ServiceMetrics:
                 "# HELP repro_sse_records_total Campaign records streamed over SSE.",
                 "# TYPE repro_sse_records_total counter",
                 _sample("repro_sse_records_total", self.sse_records_total),
-                "# HELP repro_kernel_backend Active TA kernel backend (the labelled backend is 1).",
-                "# TYPE repro_kernel_backend gauge",
-                _sample("repro_kernel_backend", 1,
-                        {"backend": active_backend_name()}),
                 "# HELP repro_store_endpoint_requests_total Store-endpoint requests by outcome (fabric hosts sharing this daemon's store).",
                 "# TYPE repro_store_endpoint_requests_total counter",
             ]

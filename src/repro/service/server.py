@@ -42,11 +42,7 @@ flood of timed-out requests cannot pile up unbounded work.  Shutdown drains:
 :meth:`VerificationService.close` waits for in-flight work before the
 process exits.
 
-The HTTP layer is the stdlib ``ThreadingHTTPServer`` — zero dependencies,
-which is the tested path.  When FastAPI happens to be installed,
-:func:`build_fastapi_app` exposes the same service core as an ASGI app for
-deployments that want uvicorn-class throughput; the core (admission,
-timeouts, metrics, session) is identical either way.
+The HTTP layer is the stdlib ``ThreadingHTTPServer`` — zero dependencies.
 """
 
 from __future__ import annotations
@@ -74,8 +70,6 @@ __all__ = [
     "ServiceConfig",
     "VerificationService",
     "ServiceServer",
-    "build_fastapi_app",
-    "fastapi_available",
 ]
 
 #: request bodies above this are refused outright (a problem document is a
@@ -123,10 +117,9 @@ class ServiceConfig:
 class VerificationService:
     """Transport-independent daemon core: one warm session + admission control.
 
-    Both HTTP front-ends (the stdlib handler below and the optional FastAPI
-    app) call :meth:`run_document` / :meth:`stream_campaign` /
-    :meth:`health` / :meth:`render_metrics` and do nothing else, so every
-    behaviour worth testing lives here.
+    The HTTP handler below calls :meth:`run_document` /
+    :meth:`stream_campaign` / :meth:`health` / :meth:`render_metrics` and does
+    nothing else, so every behaviour worth testing lives here.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None, **overrides):
@@ -554,83 +547,3 @@ class ServiceServer:
         self._httpd.server_close()
         self.service.close(drain=drain)
 
-
-def fastapi_available() -> bool:
-    """Whether the optional FastAPI front-end can be built in this process."""
-    try:
-        import fastapi  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def build_fastapi_app(service: VerificationService):
-    """The same service core as an ASGI app (optional fast path).
-
-    Only callable when FastAPI is installed (:func:`fastapi_available`);
-    the stdlib server above is the dependency-free, tested path.  Run with
-    any ASGI server, e.g. ``uvicorn``.
-    """
-    from fastapi import FastAPI, Request
-    from fastapi.responses import PlainTextResponse, Response, StreamingResponse
-
-    app = FastAPI(title="autoq-repro verification service")
-
-    @app.get("/healthz")
-    def healthz():
-        return service.health()
-
-    @app.get("/metrics")
-    def metrics():
-        return PlainTextResponse(
-            service.render_metrics(),
-            media_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    @app.post("/v1/run")
-    async def run(request: Request):
-        status, payload = service.run_document(await request.json())
-        headers = {}
-        if status in TRANSIENT_STATUSES:
-            headers["Retry-After"] = str(RETRY_AFTER_HINT_SECONDS)
-        return Response(
-            content=json.dumps(payload, sort_keys=True),
-            status_code=status,
-            media_type="application/json",
-            headers=headers,
-        )
-
-    @app.post("/v1/campaign/stream")
-    async def stream(request: Request):
-        document = await request.json()
-
-        def events():
-            for event, payload in service.stream_campaign(document):
-                yield f"event: {event}\ndata: {json.dumps(payload, sort_keys=True)}\n\n"
-
-        return StreamingResponse(events(), media_type="text/event-stream")
-
-    @app.get(STORE_ENDPOINT_PREFIX + "{key}")
-    def store_get(key: str):
-        status, payload = service.store_get(key)
-        if status == 200:
-            return Response(content=payload, media_type="application/json")
-        return Response(
-            content=json.dumps(payload, sort_keys=True),
-            status_code=status,
-            media_type="application/json",
-        )
-
-    @app.put(STORE_ENDPOINT_PREFIX + "{key}")
-    async def store_put(key: str, request: Request):
-        body = await request.body()
-        status, payload = service.store_put(key, body.decode("utf-8", errors="replace"))
-        if status == 204:
-            return Response(status_code=204)
-        return Response(
-            content=json.dumps(payload, sort_keys=True),
-            status_code=status,
-            media_type="application/json",
-        )
-
-    return app

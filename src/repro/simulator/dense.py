@@ -4,19 +4,22 @@ This is a second, fully independent reference implementation used for
 cross-checking on small circuits (tests, the brute-force equivalence baseline
 and witness validation).  It works with ``complex128`` floating point — which
 is exactly the kind of representation the paper's exact encoding avoids — so
-all comparisons against it are made with numeric tolerances.
+all comparisons against it are made with numeric tolerances.  numpy is
+imported inside the functions that use it, so importing :mod:`repro` does
+not need it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..algebraic import gate_matrix, matrix_to_complex
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
 from ..states import QuantumState, bits_to_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["apply_gate_dense", "simulate_dense", "circuit_unitary", "state_fidelity"]
 
@@ -43,6 +46,8 @@ _MATRIX_NAMES = {
 
 
 def _gate_array(gate: Gate) -> np.ndarray:
+    import numpy as np
+
     if gate.kind == "swap":
         return np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -52,6 +57,8 @@ def _gate_array(gate: Gate) -> np.ndarray:
 
 def apply_gate_dense(vector: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     """Apply one gate to a dense state vector (MSBF basis ordering)."""
+    import numpy as np
+
     matrix = _gate_array(gate)
     operands = gate.qubits
     arity = len(operands)
@@ -77,6 +84,8 @@ def apply_gate_dense(vector: np.ndarray, gate: Gate, num_qubits: int) -> np.ndar
 
 def simulate_dense(circuit: Circuit, initial: Optional[QuantumState] = None) -> np.ndarray:
     """Simulate the circuit densely; returns the final ``2^n`` complex vector."""
+    import numpy as np
+
     num_qubits = circuit.num_qubits
     if initial is None:
         vector = np.zeros(1 << num_qubits, dtype=complex)
@@ -90,6 +99,8 @@ def simulate_dense(circuit: Circuit, initial: Optional[QuantumState] = None) -> 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Build the full ``2^n x 2^n`` unitary of the circuit (small circuits only)."""
+    import numpy as np
+
     num_qubits = circuit.num_qubits
     if num_qubits > 14:
         raise ValueError("circuit_unitary is limited to 14 qubits")
@@ -103,4 +114,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 def state_fidelity(left: np.ndarray, right: np.ndarray) -> float:
     """``|<left|right>|^2`` for two dense state vectors."""
+    import numpy as np
+
     return float(abs(np.vdot(left, right)) ** 2)

@@ -205,7 +205,7 @@ class TreeAutomaton:
 
     __slots__ = ("num_qubits", "roots", "internal", "leaves", "_max_state", "_states",
                  "_num_transitions", "_depths", "_compact", "_reduced", "_skey", "_by_qubit",
-                 "_pair_index", "_arrays")
+                 "_pair_index")
 
     def __init__(
         self,
@@ -231,8 +231,6 @@ class TreeAutomaton:
         self._skey: Optional[tuple] = None
         self._by_qubit: Optional[Dict[int, Tuple[Tuple[int, int, int], ...]]] = None
         self._pair_index: Optional[Dict[Tuple[int, Symbol], Tuple[Tuple[int, int], ...]]] = None
-        # struct-of-arrays view cached by the vectorized kernel backend
-        self._arrays: Optional[object] = None
 
     @classmethod
     def _make(
@@ -265,7 +263,6 @@ class TreeAutomaton:
         self._skey = None
         self._by_qubit = None
         self._pair_index = None
-        self._arrays = None
         return self
 
     # ----------------------------------------------------------------- basics
@@ -490,10 +487,9 @@ class TreeAutomaton:
     def remove_useless(self) -> "TreeAutomaton":
         """Drop states that are not both reachable (top-down) and productive (bottom-up).
 
-        Dispatches to the active kernel backend (:mod:`repro.ta.kernel`); the
-        reference implementation lives in
-        :func:`repro.ta.kernel.reference.remove_useless`.  Every backend
-        returns ``self`` (identity) when no state is useless.
+        Runs :func:`repro.ta.kernel.reference.remove_useless` through the
+        kernel instance (:mod:`repro.ta.kernel`); returns ``self`` (identity)
+        when no state is useless.
         """
         from .kernel import active_backend
 
@@ -512,9 +508,9 @@ class TreeAutomaton:
         that present a previously seen automaton never re-hash its subtrees —
         they get the shared, already-reduced instance back.
 
-        The sweeps themselves run on the active kernel backend
+        The sweeps themselves run through the kernel instance
         (:mod:`repro.ta.kernel`); the cache probe and the layered/fixpoint
-        choice stay here so every backend shares them.
+        choice stay here.
         """
         if self._reduced:
             return self

@@ -1,204 +1,30 @@
-"""Pluggable TA kernel backends for the hot-path operations.
+"""The TA kernel: the operations every gate application funnels through.
 
-The three operations every gate application funnels through —
-``binary_operation`` (the Algorithm 9 product construction), ``remove_useless``
-and the ``reduce`` sweeps — are dispatched through a process-wide *active
-backend* selected here.  Two backends ship today:
-
-* ``reference`` — the pure-Python implementation extracted verbatim from the
-  PR 3 kernel (:mod:`repro.ta.kernel.reference`); always available and the
-  definition of correct output.
-* ``numpy`` — a vectorized implementation over the compact-form integer
-  arrays (:mod:`repro.ta.kernel.vectorized`); feature-detected exactly like
-  the optional FastAPI app builder: when numpy is not importable the backend
-  simply is not available and selection falls back to ``reference``.
-
-**Conformance contract.**  Every backend must produce output *bit-identical*
-to the reference backend: the same state ids assigned in the same order, the
-same transition-tuple order, hence identical ``structure_key()`` fingerprints.
-This is what lets the reduce cache, the gate memo and the content-addressed
-store stay backend-agnostic, and it is enforced by
-``tests/test_kernel_conformance.py`` and the ``kernel-parity`` fuzz oracle.
-
-**Selection.**  The default is resolved lazily on first use: the
-``AUTOQ_REPRO_KERNEL`` environment variable (``reference`` / ``numpy`` /
-``auto``) wins when set and satisfiable, otherwise ``numpy`` when importable,
-otherwise ``reference``.  An env request that cannot be satisfied degrades to
-auto-detection with a warning — backend selection is an optimisation and must
-never break a run.  Programmatic selection (:func:`set_active_backend`,
-:func:`use_backend`, ``SessionConfig.kernel_backend``) raises instead, because
-an explicit API request that silently did something else would be a lie.
+``binary_operation`` (the Algorithm 9 product construction),
+``remove_useless`` and the two ``reduce`` sweeps are implemented once, in
+pure Python, in :mod:`repro.ta.kernel.reference`.  Callers
+(:meth:`TreeAutomaton.remove_useless <repro.ta.automaton.TreeAutomaton.remove_useless>`,
+:meth:`TreeAutomaton.reduce <repro.ta.automaton.TreeAutomaton.reduce>` and
+:func:`repro.core.composition.binary_operation`) reach them through the one
+:class:`~repro.ta.kernel.reference.ReferenceBackend` instance returned by
+:func:`active_backend`, so a profiler can wrap that instance's methods and
+count every kernel call.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from .reference import ReferenceBackend
 
-__all__ = [
-    "ENV_VAR",
-    "KernelBackend",
-    "active_backend",
-    "active_backend_name",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "set_active_backend",
-    "use_backend",
-]
+__all__ = ["active_backend", "active_backend_name"]
 
-#: environment variable naming the default backend ("reference"/"numpy"/"auto")
-ENV_VAR = "AUTOQ_REPRO_KERNEL"
+_BACKEND = ReferenceBackend()
 
 
-class KernelBackend:
-    """Interface every kernel backend implements.
-
-    All four operations take and return ordinary :class:`~repro.ta.automaton.
-    TreeAutomaton` instances; ``reduce_layered``/``reduce_fixpoint`` are called
-    by :meth:`TreeAutomaton.reduce` *after* the reduce-cache probe and the
-    ``remove_useless`` pass, on a useless-free automaton.  Implementations
-    must preserve the reference backend's identity fast paths (returning the
-    input object itself when nothing changes) — callers test ``is``.
-    """
-
-    name: str = "?"
-
-    def binary_operation(self, left, right, subtract: bool = False):
-        raise NotImplementedError
-
-    def remove_useless(self, automaton):
-        raise NotImplementedError
-
-    def reduce_layered(self, automaton):
-        raise NotImplementedError
-
-    def reduce_fixpoint(self, automaton):
-        raise NotImplementedError
-
-
-def _load_reference() -> KernelBackend:
-    from .reference import ReferenceBackend
-
-    return ReferenceBackend()
-
-
-def _load_numpy() -> KernelBackend:
-    # raises ImportError when numpy is absent -> "not available", by design
-    from .vectorized import VectorizedBackend
-
-    return VectorizedBackend()
-
-
-#: backend name -> zero-argument factory; factories may raise ImportError,
-#: which means "not available in this environment" (feature detection)
-_FACTORIES: Dict[str, Callable[[], KernelBackend]] = {
-    "reference": _load_reference,
-    "numpy": _load_numpy,
-}
-_INSTANCES: Dict[str, KernelBackend] = {}
-_ACTIVE: Optional[KernelBackend] = None
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Every registered backend name, available in this environment or not."""
-    return tuple(_FACTORIES)
-
-
-def get_backend(name: str) -> KernelBackend:
-    """The (cached) backend instance for ``name``.
-
-    Raises :class:`ValueError` for an unknown name and :class:`ImportError`
-    when the backend exists but its dependency is missing.
-    """
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {backend_names()}"
-        )
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _FACTORIES[name]()
-        _INSTANCES[name] = instance
-    return instance
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backends usable in this environment (``reference`` always is)."""
-    names = []
-    for name in _FACTORIES:
-        try:
-            get_backend(name)
-        except ImportError:
-            continue
-        names.append(name)
-    return tuple(names)
-
-
-def _detect_default() -> KernelBackend:
-    """Resolve the default backend: env var first, then feature detection."""
-    requested = (os.environ.get(ENV_VAR) or "").strip().lower()
-    if requested and requested != "auto":
-        if requested not in _FACTORIES:
-            warnings.warn(
-                f"{ENV_VAR}={requested!r} names no kernel backend "
-                f"(known: {backend_names()}); auto-detecting instead",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        else:
-            try:
-                return get_backend(requested)
-            except ImportError as error:
-                warnings.warn(
-                    f"{ENV_VAR}={requested!r} is not available ({error}); "
-                    "auto-detecting instead",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-    try:
-        return get_backend("numpy")
-    except ImportError:
-        return get_backend("reference")
-
-
-def active_backend() -> KernelBackend:
-    """The backend all kernel operations currently dispatch to (lazy default)."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = _detect_default()
-    return _ACTIVE
+def active_backend() -> ReferenceBackend:
+    """The kernel instance every TA operation dispatches through."""
+    return _BACKEND
 
 
 def active_backend_name() -> str:
-    """Name of the active backend (resolving the default if needed)."""
-    return active_backend().name
-
-
-def set_active_backend(name: Optional[str]) -> str:
-    """Select the process-wide backend; returns the *previous* active name.
-
-    ``None`` or ``"auto"`` re-runs the default detection (env var included).
-    Unknown names raise :class:`ValueError`; known-but-unavailable ones raise
-    :class:`ImportError` — explicit selection never silently degrades.
-    """
-    global _ACTIVE
-    previous = active_backend().name
-    if name is None or name == "auto":
-        _ACTIVE = _detect_default()
-    else:
-        _ACTIVE = get_backend(name)
-    return previous
-
-
-@contextmanager
-def use_backend(name: Optional[str]) -> Iterator[KernelBackend]:
-    """Context manager: run the block under ``name``, then restore the previous
-    selection.  The switch is process-global (it is *the* active backend), so
-    nesting is fine but concurrent threads share it."""
-    previous = set_active_backend(name)
-    try:
-        yield active_backend()
-    finally:
-        set_active_backend(previous)
+    """The kernel's name, as ``EngineStatistics.kernel_backend`` records it."""
+    return _BACKEND.name

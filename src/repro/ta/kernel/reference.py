@@ -1,18 +1,15 @@
-"""The pure-Python reference kernel — the extracted PR 3 hot-path code.
+"""The pure-Python TA kernel: product, useless-state removal and reduction.
 
-Every function here is the *definitional* implementation of its operation:
-other backends (numpy today, a native extension tomorrow) must reproduce its
-output **bit for bit** — same state ids assigned in the same order, same
-transition-tuple order, same ``structure_key()`` — so that the reduce cache,
-the gate memo and the on-disk store all key identically no matter which
-backend computed an automaton.  The conformance suite
-(``tests/test_kernel_conformance.py``) and the ``kernel-parity`` fuzz oracle
-enforce exactly that contract.
+These are the three tree-automaton operations every gate transformer comes
+down to.  The functions are deterministic down to the state ids they assign
+and the order of the transition tuples they build, so equal inputs give
+automata with equal ``structure_key()`` fingerprints; the reduce cache, the
+gate memo and the on-disk store all rely on that.
 
-The bodies were moved verbatim from ``TreeAutomaton.remove_useless`` /
-``TreeAutomaton._reduce_layered`` / ``TreeAutomaton._reduce_fixpoint`` and
-``repro.core.composition.binary_operation``; the methods now dispatch through
-:func:`repro.ta.kernel.active_backend`.
+:class:`ReferenceBackend` exposes the functions as methods of one instance
+(:func:`repro.ta.kernel.active_backend`);
+``TreeAutomaton.remove_useless``/``TreeAutomaton.reduce`` and
+``repro.core.composition.binary_operation`` call through it.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...algebraic import AlgebraicNumber
 from ..automaton import InternalTransition, TreeAutomaton, intern_transition
-from . import KernelBackend
 
 __all__ = [
     "ReferenceBackend",
@@ -280,8 +276,15 @@ def binary_operation(
     return result.remove_useless() if dead_pairs else result
 
 
-class ReferenceBackend(KernelBackend):
-    """The pure-Python kernel: always available, defines the output contract."""
+class ReferenceBackend:
+    """The kernel's operations as methods of the one instance callers use.
+
+    ``reduce_layered``/``reduce_fixpoint`` are called by
+    :meth:`TreeAutomaton.reduce` after the reduce-cache probe and the
+    ``remove_useless`` pass, on a useless-free automaton.  Every method keeps
+    the identity fast paths (returning its input object itself when nothing
+    changes); callers test ``is``.
+    """
 
     name = "reference"
 

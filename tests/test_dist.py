@@ -112,11 +112,30 @@ class TestClaims:
     def test_losing_the_creation_race_returns_none(self, tmp_path, monkeypatch):
         queue = _queue(tmp_path)
         # freeze the pre-claim snapshot at "unclaimed", then let another
-        # worker win the O_EXCL race for token 1 before we create it
+        # worker win the creation race for token 1 before we create it
         monkeypatch.setattr(queue, "current_claim", lambda cell_id: (0, None))
         _write_claim(queue, "cell-a", 1, _foreign_live_lease())
         assert queue.claim("cell-a") is None
         assert queue.counters["cells_claimed"] == 0
+
+    def test_a_claim_being_written_is_not_read_as_stale(self, tmp_path, monkeypatch):
+        # a second worker scans the cell while the first is still writing its
+        # claim; a half-written claim must not read as a stale lease, so
+        # exactly one of the two may own the cell
+        first, second = _queue(tmp_path), _queue(tmp_path)
+        monkeypatch.setattr(first, "_lease", _foreign_live_lease)
+        rival = []
+        write = json.dump
+
+        def dump_while_a_rival_claims(payload, handle, **kwargs):
+            if not rival:
+                rival.append(None)  # the rival's own claim write comes back here
+                rival[0] = second.claim("cell-a")
+            write(payload, handle, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_while_a_rival_claims)
+        mine = first.claim("cell-a")
+        assert (mine is None) != (rival[0] is None)
 
     def test_completed_cell_is_never_claimable(self, tmp_path):
         queue = _queue(tmp_path)

@@ -27,13 +27,7 @@ from repro.api.client import (
     ServiceError,
     default_server_url,
 )
-from repro.service import (
-    ServiceConfig,
-    ServiceServer,
-    VerificationService,
-    build_fastapi_app,
-    fastapi_available,
-)
+from repro.service import ServiceConfig, ServiceServer, VerificationService
 
 
 def _config(**overrides) -> ServiceConfig:
@@ -291,19 +285,3 @@ class TestServiceClient:
         assert default_server_url() == "http://example:1234"
         monkeypatch.setenv(SERVER_ENV, "")
         assert default_server_url() is None
-
-
-class TestOptionalFastAPI:
-    def test_feature_detection_matches_importability(self):
-        try:
-            import fastapi  # noqa: F401
-            expected = True
-        except ImportError:
-            expected = False
-        assert fastapi_available() is expected
-
-    def test_build_without_fastapi_raises_import_error(self):
-        if fastapi_available():
-            pytest.skip("FastAPI installed; the guarded import cannot fail")
-        with pytest.raises(ImportError):
-            build_fastapi_app(service=None)
