@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices listed below.
 
 * lightweight reduction after each gate — on vs. off,
 * Hybrid vs. Composition engine settings on the same workload,
@@ -10,7 +10,9 @@
 These are not rows of a paper table; they quantify the paper's qualitative
 statements ("we use a lightweight reduction to keep the obtained TAs small",
 "Hybrid is consistently faster than Composition", "running the analysis with a
-TA representing all possible basis states might be too challenging").
+TA representing all possible basis states might be too challenging").  The
+inputs the reproduction builds in place of the paper's are listed in the
+Substitutions section of docs/architecture.md.
 """
 
 import pytest

@@ -4,9 +4,10 @@ Paper setting: adders up to 320 qubits, cycle/rd/ham parity circuits, hwb and
 urf unstructured reversible functions, each with one injected gate; AutoQ
 finds every bug (the largest, avg8_325 with 320 qubits, in ~21 min) while
 Feynman times out on most large rows and Qcec returns unknown on several.
-Scaled-down generated families (see DESIGN.md for the substitution); the shape
-to check is that the hunter finds every injected bug and that the purely
-classical rows are also decided by the path-sum baseline.
+Scaled-down generated families (see the Substitutions section of
+docs/architecture.md); the shape to check is that the hunter finds every
+injected bug and that the purely classical rows are also decided by the
+path-sum baseline.
 """
 
 import pytest

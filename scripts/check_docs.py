@@ -18,6 +18,9 @@ Checks, in order:
 5. **Environment variables** — every ``AUTOQ_REPRO_*`` variable the docs
    mention exists in the source, and every one the source reads is documented
    somewhere in the checked files.
+6. **Markdown references in code** — every ``*.md`` path a Python file under
+   ``src/``, ``benchmarks/`` or ``scripts/`` names resolves from the
+   repository root or from ``docs/``.
 
 Run from the repository root::
 
@@ -57,6 +60,10 @@ _LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE_PATTERN = re.compile(r"^```")
 _CLI_PATTERN = re.compile(r"python -m repro\.cli\s+(.*)$")
 _ENV_PATTERN = re.compile(r"AUTOQ_REPRO_[A-Z][A-Z0-9_]*")
+_MD_REFERENCE_PATTERN = re.compile(r"[\w./-]*\w\.md\b")
+
+#: the Python trees whose markdown references must name real documents
+PYTHON_TREES = ("src", "benchmarks", "scripts")
 
 
 def _read(path: str) -> str:
@@ -184,14 +191,34 @@ def check_example_files() -> List[str]:
     return problems
 
 
+def _python_files(trees) -> List[str]:
+    """Repo-relative paths of the ``*.py`` files under ``trees``, sorted."""
+    paths = []
+    for tree in trees:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO_ROOT, tree)):
+            paths.extend(os.path.relpath(os.path.join(dirpath, name), REPO_ROOT)
+                         for name in filenames if name.endswith(".py"))
+    return sorted(paths)
+
+
+def check_md_references(trees=PYTHON_TREES) -> List[str]:
+    """``*.md`` paths named in Python files that resolve neither from the
+    repository root nor from ``docs/``, as ``file:line: path`` strings."""
+    problems = []
+    for path in _python_files(trees):
+        for number, line in enumerate(_read(path).splitlines(), 1):
+            for reference in _MD_REFERENCE_PATTERN.findall(line):
+                if not any(os.path.exists(os.path.join(REPO_ROOT, base, reference))
+                           for base in ("", "docs")):
+                    problems.append(f"{path}:{number}: names missing document {reference!r}")
+    return problems
+
+
 def _source_env_vars() -> set:
     """Every ``AUTOQ_REPRO_*`` name that appears in a Python file under src/."""
     names = set()
-    for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO_ROOT, "src")):
-        for filename in filenames:
-            if filename.endswith(".py"):
-                with open(os.path.join(dirpath, filename), "r", encoding="utf-8") as handle:
-                    names.update(_ENV_PATTERN.findall(handle.read()))
+    for path in _python_files(("src",)):
+        names.update(_ENV_PATTERN.findall(_read(path)))
     return names
 
 
@@ -222,6 +249,7 @@ def main() -> int:
         + check_cli_docstring()
         + check_example_files()
         + check_env_vars()
+        + check_md_references()
     )
     for problem in problems:
         print(f"DOCS: {problem}", file=sys.stderr)

@@ -3,10 +3,10 @@
 The Feynman tool suite ships Clifford+T arithmetic benchmarks: GF(2^m)
 multipliers, carry-lookahead (QCLA) adders, multiplexed checksums, Hamming
 coders and modular adders.  This module synthesises circuits of the same
-families from scratch (documented substitution; see DESIGN.md): the functions
-computed follow the textbook constructions, built only from the Table 1 gate
-set, so the bug-injection experiment exercises the same kind of structure the
-paper's rows do.
+families from scratch (see the Substitutions section of docs/architecture.md):
+the functions computed follow the textbook constructions, built only from the
+Table 1 gate set, so the bug-injection experiment exercises the same kind of
+structure the paper's rows do.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ networks ("rd"), and seeded unstructured reversible functions ("hwb"/"urf") —
 with configurable sizes, using only CX / CCX / X gates exactly like the
 originals.  The bug-finding experiment (inject one random gate, check
 non-equivalence) is independent of the concrete function computed, so the
-experiment's shape is preserved; see DESIGN.md for the substitution note.
+experiment's shape is preserved; see the Substitutions section of
+docs/architecture.md.
 """
 
 from __future__ import annotations

@@ -90,10 +90,10 @@ permutation, reduce, and on-disk store time) after the run; campaign JSONL
 records always carry the same breakdown under ``statistics.phase_seconds``.
 
 Campaigns additionally share a cross-process **automaton store** (see
-``docs/caching.md``): reduced gate applications are content-addressed on disk
-under ``$AUTOQ_REPRO_CACHE_DIR/store`` (or ``~/.cache/autoq-repro/store``) so
-pool workers — and entirely separate campaign runs — reuse each other's
-circuit prefixes.  ``--store-dir`` relocates it, ``--no-store`` disables it
+``docs/caching.md``): reduced composition-encoded gate applications are
+content-addressed on disk under ``$AUTOQ_REPRO_CACHE_DIR/store`` (or
+``~/.cache/autoq-repro/store``) so pool workers — and entirely separate
+campaign runs — reuse each other's circuit prefixes.  ``--store-dir`` relocates it, ``--no-store`` disables it
 for one run, and the ``cache`` subcommand (``stats`` / ``gc --max-bytes`` /
 ``clear``) inspects and maintains it.
 

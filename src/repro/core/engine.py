@@ -67,6 +67,7 @@ class GateRuntime:
       content-addressed on-disk tier shared by every process pointed at the
       same directory, keyed by the renaming-invariant compact-form digest so
       campaign pool workers and entirely separate runs agree on the keys.
+      It holds composition-encoded gate results only.
 
     Sessions (:class:`repro.api.Session`) each own a private instance, so
     attaching a store or warming the memo in one session can never leak into
@@ -224,8 +225,9 @@ class EngineStatistics:
     #: gate-memo hits skip every phase and record nothing
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: cross-process store counters for this analysis (all 0 with no store):
-    #: gate applications served from the on-disk store, missed in it, and
-    #: freshly computed results published back to it
+    #: composition-encoded gate applications served from the on-disk store,
+    #: missed in it, and freshly computed results published back to it
+    #: (permutation-encoded gates never reach the store)
     store_hits: int = 0
     store_misses: int = 0
     store_publishes: int = 0
@@ -398,7 +400,10 @@ class CircuitEngine:
         Lookup order is process memo -> cross-process store -> compute, and a
         fresh result is published to both tiers, so a campaign worker that
         computes a gate application once makes it a fingerprint lookup for
-        every other worker (and every later run) sharing the store.
+        every other worker (and every later run) sharing the store.  Only
+        composition-encoded gates use the store: a permutation-encoded gate
+        costs less to recompute than to fingerprint, look up and publish, so
+        it goes memo -> compute.
         """
         runtime = self.runtime
         key = (automaton.structure_key(), gate, self.mode, self.reduce_after_each_gate)
@@ -413,6 +418,8 @@ class CircuitEngine:
             # graceful degradation: the store crossed its consecutive-fault
             # threshold — detach it for the session and keep computing
             store = self._detach_disabled_store(statistics)
+        if self._uses_permutation(gate):
+            store = None
         store_key = None
         if store is not None:
             start = time.perf_counter()
@@ -427,15 +434,15 @@ class CircuitEngine:
                 store = self._detach_disabled_store(statistics)
                 store_key = None
             if entry is not None:
+                # only composition-encoded results are ever stored
                 result = entry.automaton
                 if entry.meta.get("reduced"):
                     result._reduced = True  # noqa: SLF001 - producer reduced it already
-                used_permutation = bool(entry.meta.get("used_permutation"))
                 if statistics is not None:
                     statistics.store_hits += 1
                 if len(runtime.memo) < runtime.max_memo_entries:
-                    runtime.memo[key] = (result, used_permutation)
-                return result, used_permutation
+                    runtime.memo[key] = (result, False)
+                return result, False
             if statistics is not None:
                 statistics.store_misses += 1
 
@@ -449,10 +456,7 @@ class CircuitEngine:
             runtime.memo[key] = (result, used_permutation)
         if store is not None and store_key is not None:
             start = time.perf_counter()
-            published = store.put(store_key, result, {
-                "used_permutation": used_permutation,
-                "reduced": self.reduce_after_each_gate,
-            })
+            published = store.put(store_key, result, {"reduced": self.reduce_after_each_gate})
             if statistics is not None:
                 statistics.record_phase("store", time.perf_counter() - start)
                 if published:
@@ -468,6 +472,13 @@ class CircuitEngine:
             statistics.store_disabled = True
         return None
 
+    def _uses_permutation(self, gate: Gate) -> bool:
+        """Whether this engine applies ``gate`` with the permutation encoding
+        (a hybrid gate may still fall back to composition at run time)."""
+        return self.mode == AnalysisMode.PERMUTATION or (
+            self.mode == AnalysisMode.HYBRID and supports_permutation(gate)
+        )
+
     def _apply_gate_raw(
         self,
         automaton: TreeAutomaton,
@@ -481,9 +492,7 @@ class CircuitEngine:
         phases = statistics.phase_seconds if statistics is not None else None
         if self.mode == AnalysisMode.COMPOSITION:
             return apply_composition_gate(automaton, gate, phase_seconds=phases), False
-        if self.mode == AnalysisMode.PERMUTATION or (
-            self.mode == AnalysisMode.HYBRID and supports_permutation(gate)
-        ):
+        if self._uses_permutation(gate):
             start = time.perf_counter()
             try:
                 result = apply_permutation_gate(automaton, gate)

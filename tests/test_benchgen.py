@@ -160,6 +160,42 @@ class TestGrover:
         assert verify_triple(benchmark.precondition, benchmark.circuit, benchmark.postcondition).holds
         assert benchmark.num_qubits == 6
 
+    @pytest.mark.parametrize("num_work_qubits", [2, 3, 4, 5, 6])
+    def test_single_postcondition_is_the_simulated_output(self, num_work_qubits, simulator):
+        # the closed-form a_h/a_l against an exact state-vector run of the circuit
+        m = num_work_qubits
+        for secret in ((1,) * m, (0,) * m, tuple(i % 2 for i in range(m))):
+            benchmark = grover_single_benchmark(m, secret)
+            output = simulator.run(benchmark.circuit, QuantumState.zero_state(benchmark.num_qubits))
+            assert list(benchmark.postcondition.enumerate_states()) == [output]
+
+    @pytest.mark.parametrize("iterations", range(6))
+    def test_single_postcondition_is_the_simulated_output_for_any_iteration_count(
+        self, iterations, simulator
+    ):
+        benchmark = grover_single_benchmark(3, "101", iterations=iterations)
+        output = simulator.run(benchmark.circuit, QuantumState.zero_state(benchmark.num_qubits))
+        assert list(benchmark.postcondition.enumerate_states()) == [output]
+
+    @pytest.mark.parametrize("num_work_qubits", [2, 3, 4])
+    def test_all_oracle_postcondition_holds_the_simulated_outputs(self, num_work_qubits, simulator):
+        m = num_work_qubits
+        benchmark = grover_all_benchmark(m)
+        expected = set(benchmark.postcondition.enumerate_states())
+        assert len(expected) == 2 ** m
+        for oracle in ((0,) * m, (1,) * m, tuple(i % 2 for i in range(m))):
+            state = QuantumState.basis_state(benchmark.num_qubits,
+                                             oracle + (0,) * (benchmark.num_qubits - m))
+            assert simulator.run(benchmark.circuit, state) in expected
+
+    def test_builders_do_not_run_the_simulator(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a Grover builder ran the state-vector simulator")
+
+        monkeypatch.setattr(StateVectorSimulator, "run", refuse)
+        assert grover_single_benchmark(8).num_qubits == 16
+        assert grover_all_benchmark(4).num_qubits == 12
+
     def test_too_few_work_qubits_rejected(self):
         with pytest.raises(ValueError):
             grover_single_circuit(1, "1")

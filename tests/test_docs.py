@@ -66,3 +66,21 @@ def test_env_var_checker_detects_drift(check_docs, tmp_path, monkeypatch):
     (tmp_path / "empty.md").write_text("no env vars here\n")
     problems = check_docs.check_env_vars(paths=("empty.md",))
     assert any("AUTOQ_REPRO_SECRET_DIR" in problem for problem in problems)
+
+
+def test_markdown_references_in_code_resolve(check_docs):
+    assert check_docs.check_md_references() == []
+
+
+def test_md_reference_checker_detects_a_missing_document(check_docs, tmp_path, monkeypatch):
+    # guard the guard: a module naming a document that exists nowhere must fail,
+    # while paths that resolve from the root or from docs/ pass
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text("# guide\n")
+    (tmp_path / "NOTES.md").write_text("# notes\n")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        '"""See guide.md, docs/guide.md, NOTES.md and GONE.md."""\n')
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    assert check_docs.check_md_references(trees=("src",)) == [
+        "src/mod.py:1: names missing document 'GONE.md'"]

@@ -16,16 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchgen import build_family
-from repro.circuits import random_circuit
+from repro.circuits import Circuit, random_circuit
 from repro.core import verify_triple
 from repro.core.engine import (
     CircuitEngine,
     EngineStatistics,
+    GateRuntime,
     clear_gate_cache,
     configure_gate_store,
     run_circuit,
     set_gate_store,
 )
+from repro.core.permutation import supports_permutation
 from repro.core.tagging import tag
 from repro.states import QuantumState
 from repro.ta import (
@@ -439,7 +441,13 @@ class TestEngineStoreTier:
         assert check_equivalence(second.output, first.output).equivalent
 
     def test_store_results_chain_across_modes_and_match_computation(self, tmp_path):
-        circuit = random_circuit(2, num_gates=6, seed=11)
+        # the two Hadamards are composition-encoded (stored); every gate of the
+        # seed-11 circuit is permutation-encoded (recomputed, never stored)
+        circuit = Circuit(2).add("h", 0).add("h", 1).concatenated(
+            random_circuit(2, num_gates=6, seed=11))
+        composition_gates = sum(
+            1 for gate in circuit.decomposed() if not supports_permutation(gate))
+        assert 0 < composition_gates < circuit.num_gates
         precondition = all_basis_states_ta(2)
         baseline = run_circuit(circuit, precondition).output
 
@@ -457,7 +465,30 @@ class TestEngineStoreTier:
         for gate in circuit.decomposed():
             automaton = engine.apply_gate(automaton, gate, statistics)
         assert statistics.store_hits > 0
+        assert statistics.store_misses == 0
+        assert statistics.store_hits == composition_gates
         assert check_equivalence(automaton, baseline).equivalent
+
+    def test_permutation_encoded_gates_bypass_the_store(self, tmp_path):
+        circuit = random_circuit(2, num_gates=6, seed=11)
+        assert all(supports_permutation(gate) for gate in circuit.decomposed())
+        precondition = all_basis_states_ta(2)
+        store = AutomatonStore(str(tmp_path))
+
+        hybrid = run_circuit(circuit, precondition, mode="hybrid",
+                             runtime=GateRuntime(store=store)).statistics
+        assert hybrid.gates_permutation == circuit.num_gates
+        assert (hybrid.store_hits, hybrid.store_misses, hybrid.store_publishes) == (0, 0, 0)
+        assert "store" not in hybrid.phase_seconds
+        assert len(store) == 0
+
+        # the same gates applied with the composition encoding are all stored
+        composition = run_circuit(circuit, precondition, mode="composition",
+                                  runtime=GateRuntime(store=store)).statistics
+        assert composition.gates_composition == circuit.num_gates
+        assert composition.store_misses == circuit.num_gates
+        assert composition.store_publishes == circuit.num_gates
+        assert len(store) == circuit.num_gates
 
     def test_detached_store_records_nothing(self):
         bench = build_family("grover", 2)
