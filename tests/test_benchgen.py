@@ -196,6 +196,17 @@ class TestGrover:
         assert grover_single_benchmark(8).num_qubits == 16
         assert grover_all_benchmark(4).num_qubits == 12
 
+    def test_closed_form_postcondition_is_exact_beyond_the_simulator(self):
+        # n = 12 is the paper's smallest Grover-Sing row (24 qubits): the closed
+        # form must still give an exactly normalised state that puts almost all
+        # of its weight on the secret
+        for m in (8, 12):
+            secret = tuple(i % 2 for i in range(m))
+            [state] = grover_single_benchmark(m, secret).postcondition.enumerate_states()
+            assert state.nonzero_count() == 2 ** m
+            assert state.is_normalised()
+            assert state[secret + (0,) * (m - 1) + (1,)].abs_squared().to_float() > 0.99
+
     def test_too_few_work_qubits_rejected(self):
         with pytest.raises(ValueError):
             grover_single_circuit(1, "1")

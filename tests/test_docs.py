@@ -84,3 +84,14 @@ def test_md_reference_checker_detects_a_missing_document(check_docs, tmp_path, m
     monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
     assert check_docs.check_md_references(trees=("src",)) == [
         "src/mod.py:1: names missing document 'GONE.md'"]
+
+
+def test_md_reference_checker_scans_src_benchmarks_and_scripts(check_docs, tmp_path, monkeypatch):
+    # tests/ stays out: its guard fixtures name missing documents on purpose
+    for tree in ("src", "benchmarks", "scripts", "tests"):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "mod.py").write_text('"""See GONE.md."""\n')
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    assert check_docs.check_md_references() == [
+        f"{tree}/mod.py:1: names missing document 'GONE.md'"
+        for tree in ("benchmarks", "scripts", "src")]

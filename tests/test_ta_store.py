@@ -27,7 +27,8 @@ from repro.core.engine import (
     run_circuit,
     set_gate_store,
 )
-from repro.core.permutation import supports_permutation
+from repro.core import engine as engine_module
+from repro.core.permutation import PermutationUnsupported, supports_permutation
 from repro.core.tagging import tag
 from repro.states import QuantumState
 from repro.ta import (
@@ -489,6 +490,42 @@ class TestEngineStoreTier:
         assert composition.store_misses == circuit.num_gates
         assert composition.store_publishes == circuit.num_gates
         assert len(store) == circuit.num_gates
+
+    def test_hybrid_fallback_to_composition_is_not_stored(self, tmp_path, monkeypatch):
+        # a gate routed to the permutation encoding that falls back to
+        # composition at run time stays out of the store as well
+        def unsupported(_automaton, gate):
+            raise PermutationUnsupported(f"no permutation encoding for {gate.kind!r}")
+
+        circuit = random_circuit(2, num_gates=6, seed=11)
+        precondition = all_basis_states_ta(2)
+        baseline = run_circuit(circuit, precondition, mode="composition",
+                               runtime=GateRuntime()).output
+        monkeypatch.setattr(engine_module, "apply_permutation_gate", unsupported)
+        store = AutomatonStore(str(tmp_path))
+
+        hybrid = run_circuit(circuit, precondition, mode="hybrid",
+                             runtime=GateRuntime(store=store))
+        statistics = hybrid.statistics
+        assert statistics.gates_composition == circuit.num_gates
+        assert (statistics.store_hits, statistics.store_misses,
+                statistics.store_publishes) == (0, 0, 0)
+        assert len(store) == 0
+        assert check_equivalence(hybrid.output, baseline).equivalent
+
+    def test_disabled_store_is_reported_by_a_permutation_only_run(self, tmp_path):
+        # the degraded-store detach runs before the encoding check, so a run
+        # that never consults the store still flags and detaches it
+        circuit = random_circuit(2, num_gates=6, seed=11)
+        store = AutomatonStore(str(tmp_path))
+        store.disabled = True
+        runtime = GateRuntime(store=store)
+
+        statistics = run_circuit(circuit, all_basis_states_ta(2), mode="hybrid",
+                                 runtime=runtime).statistics
+        assert statistics.gates_permutation == circuit.num_gates
+        assert statistics.store_disabled
+        assert runtime.store is None
 
     def test_detached_store_records_nothing(self):
         bench = build_family("grover", 2)
