@@ -2,17 +2,20 @@
 """Two sequential campaigns sharing one cross-process automaton store.
 
 The second cache tier behind the engine's per-process gate memo is a
-content-addressed on-disk store (``repro.ta.store``): every reduced gate
-application a worker computes is published under a renaming-invariant
-fingerprint of ``(input automaton, gate, mode)``, and every worker — in this
-run or any later one — pointed at the same directory reuses it.
+content-addressed on-disk store (``repro.ta.store``): every reduced
+composition-encoded gate application (H, Rx, Ry and the other gates hybrid
+mode cannot permute) a worker computes is published under a
+renaming-invariant fingerprint of ``(input automaton, gate, mode)``, and every
+worker — in this run or any later one — pointed at the same directory reuses
+it.  Permutation-encoded gates are recomputed instead (see
+``docs/caching.md``, section 4).
 
 This example runs the *same* Grover campaign twice with the result cache
 disabled, so both runs really verify every mutant.  The first run starts from
 a cold store and publishes; the second run spawns brand-new worker processes
-whose in-memory memos are empty, yet its gate applications come back from the
-store — watch the ``store`` counters flip from publishes to hits and the wall
-time drop.
+whose in-memory memos are empty, yet its composition-encoded gate
+applications come back from the store — watch the ``store`` counters flip from
+publishes to hits and the wall time drop.
 
 Run with:  python examples/shared_cache_campaign.py [num_mutants] [workers]
 """

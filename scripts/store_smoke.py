@@ -4,7 +4,7 @@
 The first (cold) run populates the cross-process automaton store; the second
 (warm) run re-verifies the same mutants with the verdict cache disabled, so
 every job really runs — but its pool workers are brand-new processes whose
-gate applications must come back from the store.  The check fails when the
+composition-encoded gate applications must come back from the store.  The check fails when the
 warm run has a zero store hit-rate or is slower than the cold run.
 
 Intended for CI (the ``perf-smoke`` job), next to the measurement-only bench

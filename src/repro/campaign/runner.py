@@ -63,7 +63,8 @@ def initialise_worker(store_dir, fault_plan: Optional[FaultPlan] = None) -> None
 
     Passed as ``initializer`` when campaign pools are created, so every worker
     process reads and publishes gate-memo entries under the same directory —
-    one worker's circuit prefix becomes every other worker's store hit.  The
+    the composition-encoded gates of one worker's circuit prefix become every
+    other worker's store hits.  The
     store attaches to the worker's process-default :class:`GateRuntime`
     (each pool worker is its own process, so nothing can leak into the
     parent's sessions).

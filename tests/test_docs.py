@@ -73,24 +73,17 @@ def test_markdown_references_in_code_resolve(check_docs):
 
 
 def test_md_reference_checker_detects_a_missing_document(check_docs, tmp_path, monkeypatch):
-    # guard the guard: a module naming a document that exists nowhere must fail,
-    # while paths that resolve from the root or from docs/ pass
+    # guard the guard: a module under src/, benchmarks/ or scripts/ naming a
+    # document that exists nowhere must fail, while paths that resolve from
+    # the root or from docs/ pass; tests/ stays out of the scan, because its
+    # guard fixtures (this one included) name missing documents on purpose
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "guide.md").write_text("# guide\n")
     (tmp_path / "NOTES.md").write_text("# notes\n")
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "mod.py").write_text(
-        '"""See guide.md, docs/guide.md, NOTES.md and GONE.md."""\n')
-    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
-    assert check_docs.check_md_references(trees=("src",)) == [
-        "src/mod.py:1: names missing document 'GONE.md'"]
-
-
-def test_md_reference_checker_scans_src_benchmarks_and_scripts(check_docs, tmp_path, monkeypatch):
-    # tests/ stays out: its guard fixtures name missing documents on purpose
     for tree in ("src", "benchmarks", "scripts", "tests"):
         (tmp_path / tree).mkdir()
-        (tmp_path / tree / "mod.py").write_text('"""See GONE.md."""\n')
+        (tmp_path / tree / "mod.py").write_text(
+            '"""See guide.md, docs/guide.md, NOTES.md and GONE.md."""\n')
     monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
     assert check_docs.check_md_references() == [
         f"{tree}/mod.py:1: names missing document 'GONE.md'"
