@@ -11,9 +11,10 @@ cached re-run, which should be orders of magnitude faster than any worker
 count.
 
 The matrix rows measure the sweep scheduler on a multi-cell
-families × sizes × modes grid: the full sweep (manifest checkpoint per cell),
-and the resumed no-op, whose cost is exactly "read one manifest" and should be
-milliseconds regardless of sweep size.
+families × sizes × modes grid: the full sweep (one claim and one published
+result per cell in the lease queue, one manifest write), and the resumed
+no-op, whose cost is reading the manifest and the queue's results and should
+be milliseconds regardless of sweep size.
 
 The service row compares the verification daemon (``repro serve``) against
 the workflow it replaces: the same verify queries answered by one warm
@@ -141,7 +142,7 @@ def _matrix_row(benchmark, result, label: str) -> None:
 
 
 def test_campaign_matrix_sweep(benchmark, tmp_path):
-    """Full families x sizes x modes sweep with per-cell manifest checkpoints."""
+    """Full families x sizes x modes sweep, every cell published to the queue."""
     result = benchmark.pedantic(
         lambda: _matrix_scheduler(tmp_path).run(), rounds=1, iterations=1
     )
@@ -151,7 +152,7 @@ def test_campaign_matrix_sweep(benchmark, tmp_path):
 
 
 def test_campaign_matrix_resume_noop(benchmark, tmp_path):
-    """Resuming a completed sweep must only pay for reading the manifest."""
+    """Resuming a completed sweep must only pay for reading its state."""
     scheduler = _matrix_scheduler(tmp_path)
     first = scheduler.run()
     result = benchmark.pedantic(

@@ -3,10 +3,11 @@
 
 This is the paper's Section 7.2 evaluation shape as a programmable object: a
 ``MatrixSpec`` expands into one bug-hunting campaign per (family, size, mode)
-cell, cells run cheapest-first, and every cell transition checkpoints into an
-on-disk manifest.  The script demonstrates the resume contract directly: it
-deliberately kills the sweep partway through, then resumes it and shows that
-the already-completed cells are reused rather than re-verified.
+cell, cells run cheapest-first, the sweep is recorded in an on-disk manifest,
+and every finished cell is published to the campaign's lease queue next to
+it.  The script demonstrates the resume contract directly: it deliberately
+kills the sweep partway through, then resumes it and shows that the
+already-completed cells are reused rather than re-verified.
 
 Run with:  python examples/campaign_matrix.py [workers]
 """
@@ -51,9 +52,9 @@ def main() -> None:
         try:
             scheduler().run(progress=die_early)
         except KeyboardInterrupt:
-            print(f"interrupted after {len(seen)} cell(s) — manifest has them banked")
+            print(f"interrupted after {len(seen)} cell(s) — the queue has them banked")
 
-        # Resume: completed cells come back from the manifest, the rest run.
+        # Resume: completed cells come back from the queue, the rest run.
         result = scheduler().run(resume=True, progress=print)
         print()
         print(format_cell_table(result.rows, result.totals))

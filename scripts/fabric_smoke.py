@@ -10,6 +10,9 @@ smoke fails unless
 
 * the surviving joiner and the coordinator finish every cell (the dead
   worker's claim is stolen, not waited on),
+* ``campaign ls --json``, run between the survivor's exit and the
+  coordinator's resume, counts exactly as many done cells as the queue has
+  result files, and reports the campaign complete after the resume,
 * the coordinator's roll-up is trustworthy (no errors, no conflicts) and
   records at least one stolen cell,
 * the per-cell verdict rows are identical to an uninterrupted solo run.
@@ -50,6 +53,21 @@ def spawn_joiner(scratch: str, campaign_id: str, name: str,
         argv += ["--faults", json.dumps(faults.to_dict())]
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
+
+
+def campaign_ls(scratch: str, campaign_id: str) -> Optional[dict]:
+    """The ``campaign ls --json`` row of one campaign (``None`` if missing)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    listing = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "campaign", "ls", "--json",
+         "--manifest-dir", os.path.join(scratch, "manifests")],
+        env=env, capture_output=True, text=True, timeout=120)
+    try:
+        campaigns = json.loads(listing.stdout)["data"]["campaigns"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return next((row for row in campaigns if row["campaign_id"] == campaign_id), None)
 
 
 def verdict_rows(rows):
@@ -144,9 +162,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         survivor_stdout, survivor_stderr = survivor.communicate(
             timeout=args.timeout)
 
+        # campaign ls reads the queue, so it must see the joiners' results
+        ls_before = campaign_ls(scratch, "fabric") or {}
+        results_before = completed()
+
         # the coordinator merges everything and steals whatever is still held
         # by the dead pid; resume must finish the sweep regardless
         result = coordinator.run(resume=True)
+        ls_after = campaign_ls(scratch, "fabric") or {}
 
     failures = []
     if killed_at_cells is None:
@@ -159,6 +182,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures.append("coordinator roll-up is not trustworthy "
                         f"(errors={result.totals.get('errors')}, "
                         f"conflicts={result.totals.get('conflicts', 0)})")
+    if ls_before.get("cells_done") != results_before:
+        failures.append(f"campaign ls counted {ls_before.get('cells_done')} done "
+                        f"cell(s) but the queue holds {results_before} result(s)")
+    if ls_after.get("complete") is not True:
+        failures.append("campaign ls does not report the resumed campaign "
+                        "complete")
     if len(result.rows) != len(cells):
         failures.append(f"sweep incomplete: {len(result.rows)} of "
                         f"{len(cells)} cells in the roll-up")
@@ -184,6 +213,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = {
         "cells": len(cells),
         "killed_at_completed_cells": killed_at_cells,
+        "ls_cells_done_before_resume": ls_before.get("cells_done"),
+        "results_before_resume": results_before,
+        "ls_complete_after_resume": ls_after.get("complete"),
         "survivor_counters": survivor_doc,
         "totals": {key: result.totals.get(key) for key in
                    ("jobs", "errors", "cells_claimed", "cells_stolen",

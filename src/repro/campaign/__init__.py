@@ -13,9 +13,10 @@ A *matrix* campaign (:mod:`repro.campaign.scheduler`) lifts this one level up,
 to the shape of the paper's evaluation tables: a declarative
 :class:`MatrixSpec` (families × sizes × modes, from a TOML/JSON file or CLI
 flags) expands into one campaign per cell, cells are scheduled cheapest-first
-over a shared worker pool, and progress checkpoints into a resumable
-:class:`~repro.campaign.manifest.CampaignManifest` so ``campaign --resume
-<id>`` skips completed cells and re-queues interrupted ones.
+over a shared worker pool, and every cell is claimed and published through
+the campaign's lease queue (:mod:`repro.dist.queue`) so ``campaign --resume
+<id>`` skips completed cells and re-queues interrupted ones; the
+:class:`~repro.campaign.manifest.CampaignManifest` records the sweep itself.
 """
 
 from .cache import (

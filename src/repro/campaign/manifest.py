@@ -1,27 +1,15 @@
-"""Resumable campaign manifests: on-disk sweep state, one file per campaign.
+"""Campaign manifests: the on-disk record of what a sweep is.
 
-A matrix sweep (:mod:`repro.campaign.scheduler`) can run for hours, so its
-progress lives in a JSON manifest — ``<manifest_dir>/<campaign_id>.json`` —
-rewritten atomically (temp file + ``os.replace``) at every cell transition.
-Each cell of the sweep is tracked through three states:
+A matrix sweep (:mod:`repro.campaign.scheduler`) is identified by a campaign
+id.  Its manifest, ``<manifest_dir>/<campaign_id>.json``, records the full
+sweep spec, the spec's fingerprint and the ids of the sweep's cells.  It is
+written once, atomically, when the sweep is created, and never again.
 
-``pending``
-    not started yet;
-``running``
-    claimed by a scheduler, which records a *lease* (pid + hostname +
-    heartbeat timestamp).  On resume a running cell is only considered
-    *interrupted* — and re-queued — when its lease is stale: the owning
-    process is provably dead, or its heartbeat is older than
-    :data:`LEASE_TTL_SECONDS`.  Cells held by another live worker (same
-    host, different live pid, fresh heartbeat — or another host with a
-    fresh heartbeat) are left alone, so concurrent ``--resume`` runs on a
-    shared manifest directory never double-execute a cell;
-``done``
-    finished, with the cell's :class:`~repro.campaign.runner.CampaignSummary`
-    stored inline so a resumed sweep can roll it into the final totals without
-    re-verifying anything.
+Where each cell stands (done, held by a live worker, interrupted, pending)
+is not the manifest's business: that lives in the campaign's lease queue
+next to it (:mod:`repro.dist.queue`), which the coordinator and every
+``campaign --join`` worker write concurrently.
 
-The manifest also records the full sweep spec and its fingerprint;
 ``campaign --resume <id>`` rebuilds the spec from the manifest alone, and a
 spec passed alongside ``--resume`` is checked against the stored fingerprint
 so a manifest is never resumed under a different sweep definition.
@@ -31,33 +19,20 @@ from __future__ import annotations
 
 import json
 import os
-import socket
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .cache import atomic_write_json
 
 __all__ = [
-    "CELL_PENDING",
-    "CELL_RUNNING",
-    "CELL_DONE",
-    "LEASE_TTL_SECONDS",
     "ManifestError",
     "CampaignManifest",
     "default_manifest_dir",
-    "lease_is_stale",
     "list_campaign_ids",
 ]
 
-MANIFEST_VERSION = 1
-
-#: a running cell whose heartbeat is older than this is considered abandoned
-#: even when pid liveness cannot be checked (the owner ran on another host)
-LEASE_TTL_SECONDS = 900.0
-
-CELL_PENDING = "pending"
-CELL_RUNNING = "running"
-CELL_DONE = "done"
+#: version 2 stores ``cells`` as a list of ids; version 1 mapped every id to
+#: its lease state, which :meth:`CampaignManifest.load` still reads
+MANIFEST_VERSION = 2
 
 #: environment variable overriding the default manifest directory
 MANIFEST_DIR_ENV = "AUTOQ_REPRO_MANIFEST_DIR"
@@ -76,50 +51,6 @@ def default_manifest_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "autoq-repro", "manifests")
 
 
-def lease_is_stale(
-    owner: Optional[Dict],
-    ttl: float = LEASE_TTL_SECONDS,
-    now: Optional[float] = None,
-) -> bool:
-    """Whether a running cell's lease no longer belongs to a live worker.
-
-    A lease is the ``{"pid", "host", "heartbeat"}`` record ``mark_running``
-    stores.  Stale means safe to re-queue:
-
-    * no lease at all (manifest written before leases existed);
-    * heartbeat older than ``ttl`` — covers crashed workers on *other*
-      hosts, where pid liveness cannot be probed;
-    * the pid is this very process — we are obviously not running that
-      cell in parallel with ourselves, so a same-process resume (e.g.
-      after ``KeyboardInterrupt``) reclaims its own cells immediately;
-    * same host and the pid is dead.
-
-    A same-host lease held by a different live process, or a fresh
-    heartbeat from another host, is *live* and must not be re-queued.
-    """
-    if not owner:
-        return True
-    try:
-        heartbeat = float(owner["heartbeat"])
-        pid = int(owner["pid"])
-        host = owner["host"]
-    except (KeyError, TypeError, ValueError):
-        return True
-    if (time.time() if now is None else now) - heartbeat > ttl:
-        return True
-    if host != socket.gethostname():
-        return False
-    if pid == os.getpid():
-        return True
-    try:
-        os.kill(pid, 0)
-    except PermissionError:
-        return False  # alive, owned by another user
-    except OSError:
-        return True  # ProcessLookupError and friends: owner is gone
-    return False
-
-
 def list_campaign_ids(directory: str) -> List[str]:
     """Campaign ids with a manifest under ``directory`` (sorted; [] when absent)."""
     try:
@@ -130,12 +61,10 @@ def list_campaign_ids(directory: str) -> List[str]:
 
 
 class CampaignManifest:
-    """The on-disk progress record of one matrix campaign.
+    """The sweep record of one matrix campaign: id, spec, fingerprint, cells.
 
-    Construct through :meth:`create` (fresh sweep) or :meth:`load` (resume);
-    every mutation (:meth:`mark_running`, :meth:`mark_done`) persists the whole
-    manifest atomically before returning, so the file always reflects at least
-    as much progress as any in-memory view.
+    Construct through :meth:`create` (a fresh sweep; the one write) or
+    :meth:`load` (resume, join, ``campaign ls``).
     """
 
     def __init__(
@@ -144,15 +73,13 @@ class CampaignManifest:
         campaign_id: str,
         spec: Dict,
         spec_fingerprint: str,
-        cells: Dict[str, Dict],
+        cell_ids: List[str],
     ):
         self.path = path
         self.campaign_id = campaign_id
         self.spec = spec
         self.spec_fingerprint = spec_fingerprint
-        self.cells = cells
-
-    # -- construction ------------------------------------------------------
+        self.cell_ids = cell_ids
 
     @staticmethod
     def path_for(directory: str, campaign_id: str) -> str:
@@ -168,12 +95,11 @@ class CampaignManifest:
         spec_fingerprint: str,
         cell_ids: List[str],
     ) -> "CampaignManifest":
-        """Start a fresh manifest with every cell ``pending`` (overwrites any
-        previous sweep under the same id)."""
+        """Write the manifest of a fresh sweep (overwrites any previous sweep
+        under the same id)."""
         os.makedirs(directory, exist_ok=True)
-        cells = {cell_id: {"status": CELL_PENDING, "summary": None} for cell_id in cell_ids}
         manifest = cls(cls.path_for(directory, campaign_id), campaign_id, spec,
-                       spec_fingerprint, cells)
+                       spec_fingerprint, list(cell_ids))
         manifest.save()
         return manifest
 
@@ -194,14 +120,11 @@ class CampaignManifest:
         for field in ("campaign_id", "spec", "spec_fingerprint", "cells"):
             if field not in payload:
                 raise ManifestError(f"manifest {path!r} is missing the {field!r} field")
+        if not isinstance(payload["cells"], (list, dict)):
+            raise ManifestError(f"manifest {path!r} has a malformed 'cells' field")
+        # a version-1 mapping of id -> state lists as its ids, in order
         return cls(path, payload["campaign_id"], payload["spec"],
-                   payload["spec_fingerprint"], payload["cells"])
-
-    @classmethod
-    def exists(cls, directory: str, campaign_id: str) -> bool:
-        return os.path.exists(cls.path_for(directory, campaign_id))
-
-    # -- persistence -------------------------------------------------------
+                   payload["spec_fingerprint"], list(payload["cells"]))
 
     def to_dict(self) -> Dict:
         return {
@@ -209,14 +132,12 @@ class CampaignManifest:
             "campaign_id": self.campaign_id,
             "spec": self.spec,
             "spec_fingerprint": self.spec_fingerprint,
-            "cells": self.cells,
+            "cells": self.cell_ids,
         }
 
     def save(self) -> None:
         """Persist the manifest atomically."""
         atomic_write_json(self.path, self.to_dict(), indent=2)
-
-    # -- cell state --------------------------------------------------------
 
     def check_fingerprint(self, spec_fingerprint: str) -> None:
         """Refuse to resume under a different sweep definition."""
@@ -226,138 +147,3 @@ class CampaignManifest:
                 f"(manifest fingerprint {self.spec_fingerprint[:12]}…, "
                 f"requested {spec_fingerprint[:12]}…); drop --resume or pass the original spec"
             )
-
-    def status(self, cell_id: str) -> str:
-        return self.cells[cell_id]["status"]
-
-    def summary(self, cell_id: str) -> Optional[Dict]:
-        """The stored :class:`CampaignSummary` dict of a ``done`` cell."""
-        return self.cells[cell_id].get("summary")
-
-    def cell_ids(self, status: Optional[str] = None) -> List[str]:
-        """Cell ids in manifest order, optionally filtered by status."""
-        return [cell_id for cell_id, cell in self.cells.items()
-                if status is None or cell["status"] == status]
-
-    def completed_cell_ids(self) -> List[str]:
-        return self.cell_ids(CELL_DONE)
-
-    def interrupted_cell_ids(self, lease_ttl: float = LEASE_TTL_SECONDS) -> List[str]:
-        """Running cells whose lease is stale: claimed but abandoned."""
-        return [cell_id for cell_id in self.cell_ids(CELL_RUNNING)
-                if lease_is_stale(self.cells[cell_id].get("owner"), ttl=lease_ttl)]
-
-    def live_cell_ids(self, lease_ttl: float = LEASE_TTL_SECONDS) -> List[str]:
-        """Running cells another live worker still holds — do not re-queue."""
-        return [cell_id for cell_id in self.cell_ids(CELL_RUNNING)
-                if not lease_is_stale(self.cells[cell_id].get("owner"), ttl=lease_ttl)]
-
-    def remaining_cell_ids(self, lease_ttl: float = LEASE_TTL_SECONDS) -> List[str]:
-        """Everything a resume should work on: pending + stale-leased running.
-        Cells held by a live lease are excluded — their owner will finish them."""
-        live = set(self.live_cell_ids(lease_ttl))
-        return [cell_id for cell_id, cell in self.cells.items()
-                if cell["status"] != CELL_DONE and cell_id not in live]
-
-    @staticmethod
-    def _lease() -> Dict:
-        return {
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "heartbeat": time.time(),
-        }
-
-    def mark_running(self, cell_id: str, report_path: Optional[str] = None) -> None:
-        cell = self.cells[cell_id]
-        cell["status"] = CELL_RUNNING
-        cell["summary"] = None
-        cell["owner"] = self._lease()
-        # attempt counter: 1 on the first claim, +1 each time a stale-leased
-        # (crashed/interrupted) cell is re-queued — crash loops stay visible
-        cell["attempts"] = int(cell.get("attempts") or 0) + 1
-        if report_path is not None:
-            cell["report_path"] = report_path
-        self.save()
-
-    def attempts(self, cell_id: str) -> int:
-        """How many times this cell has been claimed (re-queues included)."""
-        return int(self.cells[cell_id].get("attempts") or 0)
-
-    def touch_running(self, cell_id: str) -> None:
-        """Refresh this process's heartbeat on a cell it is executing.
-
-        Call periodically from long cells so the lease outlives
-        :data:`LEASE_TTL_SECONDS` as long as the worker is actually alive.
-        A no-op when the cell is not running (e.g. a racing resume already
-        finished it)."""
-        cell = self.cells[cell_id]
-        if cell["status"] != CELL_RUNNING:
-            return
-        cell["owner"] = self._lease()
-        self.save()
-
-    def mark_done(self, cell_id: str, summary: Dict) -> None:
-        cell = self.cells[cell_id]
-        cell["status"] = CELL_DONE
-        cell["summary"] = summary
-        cell.pop("owner", None)
-        self.save()
-
-    def is_complete(self) -> bool:
-        return all(cell["status"] == CELL_DONE for cell in self.cells.values())
-
-    # -- aggregation (``campaign ls``) -------------------------------------
-
-    def verdict_totals(self) -> Dict[str, int]:
-        """Verdict counters summed over the stored summaries of ``done`` cells."""
-        totals = {"jobs": 0, "holds": 0, "violated": 0, "unsupported": 0, "errors": 0}
-        for cell in self.cells.values():
-            summary = cell.get("summary") or {}
-            for key in totals:
-                totals[key] += int(summary.get(key, 0) or 0)
-        return totals
-
-    def lease_overview(self, now: Optional[float] = None) -> Dict:
-        """Owner/heartbeat/attempts roll-up of the manifest, for ``campaign ls``.
-
-        ``owner`` is the ``pid@host`` of the *freshest* running lease (or
-        ``None`` when nothing is running / no lease was recorded),
-        ``heartbeat_age`` its age in seconds, ``live`` whether that lease
-        still passes :func:`lease_is_stale`, and ``attempts`` the maximum
-        claim count of any cell — a number above 1 means some cell was
-        re-queued after a crash or interruption.
-        """
-        current = time.time() if now is None else now
-        owner = None
-        heartbeat = None
-        live = False
-        attempts = 0
-        for cell in self.cells.values():
-            attempts = max(attempts, int(cell.get("attempts") or 0))
-            if cell.get("status") != CELL_RUNNING:
-                continue
-            lease = cell.get("owner")
-            if not isinstance(lease, dict):
-                continue
-            try:
-                beat = float(lease["heartbeat"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            if heartbeat is None or beat > heartbeat:
-                heartbeat = beat
-                owner = f"{lease.get('pid', '?')}@{lease.get('host', '?')}"
-                live = not lease_is_stale(lease, now=current)
-        return {
-            "owner": owner,
-            "heartbeat_age": None if heartbeat is None else max(0.0, current - heartbeat),
-            "live": live,
-            "attempts": attempts,
-        }
-
-    def progress(self) -> Dict[str, int]:
-        """Cell counts by manifest status (``done`` / ``running`` / ``pending``)."""
-        counts = {CELL_DONE: 0, CELL_RUNNING: 0, CELL_PENDING: 0}
-        for cell in self.cells.values():
-            status = cell.get("status", CELL_PENDING)
-            counts[status] = counts.get(status, 0) + 1
-        return counts

@@ -13,20 +13,19 @@ into :class:`MatrixCell`\\ s, one bug-hunting campaign per combination.  The
   cells possible);
 * runs each cell through the existing :class:`~repro.campaign.runner.Campaign`
   machinery, sharing one multiprocessing pool across all cells;
-* checkpoints progress in a resumable
-  :class:`~repro.campaign.manifest.CampaignManifest` so
-  ``campaign --resume <id>`` skips completed cells and re-queues interrupted
-  ones.
+* records the sweep once in a :class:`~repro.campaign.manifest.CampaignManifest`
+  (spec, fingerprint, cell ids) so ``campaign --resume <id>`` can rebuild it.
 
-Every sweep also runs under the distributed campaign fabric
-(:mod:`repro.dist`): the scheduler claims each cell through a lease-based
-:class:`~repro.dist.JobQueue` living next to the manifest, so any number of
-extra workers can attach to a running sweep with ``campaign --join <id>``
-(:meth:`MatrixScheduler.run_join`).  Joiners never write the manifest — they
-drain the queue and publish idempotent completion records, which the
-coordinator merges into the manifest and the ``summary.json`` roll-up.  With
-no joiners every claim trivially succeeds and the sweep behaves exactly as a
-solo run.  See ``docs/distributed.md`` for the protocol.
+Cell state lives in the distributed campaign fabric (:mod:`repro.dist`): the
+scheduler claims each cell through a lease-based :class:`~repro.dist.JobQueue`
+living next to the manifest and publishes each finished cell there, so a
+resume skips cells with a result and re-claims interrupted ones, and any
+number of extra workers can attach to a running sweep with
+``campaign --join <id>`` (:meth:`MatrixScheduler.run_join`).  Joiners drain
+the same queue with the same claim loop; the coordinator rolls every
+published result into ``summary.json``.  With no joiners every claim
+trivially succeeds and the sweep behaves exactly as a solo run.  See
+``docs/distributed.md`` for the protocol.
 
 Specs load from TOML or JSON files (``MatrixSpec.from_file``) or from plain
 mappings assembled by CLI flags (``MatrixSpec.from_mapping``).  A minimal TOML
@@ -88,11 +87,11 @@ _RANGE_PATTERN = re.compile(r"^\s*(\d+)\s*-\s*(\d+)\s*$")
 
 #: how often a scheduler refreshes its lease heartbeat on the cell it is
 #: executing (piggybacked on campaign record completion, so it costs one
-#: manifest write at most this often) — well under the lease TTL
+#: claim-file rewrite at most this often) — well under the lease TTL
 HEARTBEAT_INTERVAL_SECONDS = 60.0
 
 #: how long the coordinator sleeps between polls while every remaining cell
-#: is held by a live joiner (it wakes to merge their completions, or to steal
+#: is held by a live claim (it wakes to merge their completions, or to steal
 #: cells whose leases went stale)
 FABRIC_POLL_SECONDS = 0.5
 
@@ -379,7 +378,7 @@ class MatrixRunResult:
     summary_path: str
     rows: List[Dict]  # one per cell, in spec order
     totals: Dict
-    reused_cells: int  # completed cells skipped thanks to the manifest
+    reused_cells: int  # cells that already had a queue result when the run started
     skipped_combinations: List[Tuple[str, str]]
     wall_seconds: float
 
@@ -473,7 +472,7 @@ class MatrixScheduler:
 
     #: ``campaign --join <id>`` rebuilds a scheduler exactly like ``--resume``
     #: — the difference is which entry point runs (:meth:`run_join` never
-    #: plans and never writes the manifest)
+    #: plans, and returns instead of waiting on cells other workers hold)
     join = resume
 
     # -- internals ---------------------------------------------------------
@@ -502,7 +501,7 @@ class MatrixScheduler:
         if resume:
             manifest = CampaignManifest.load(self.manifest_dir, self.campaign_id)
             manifest.check_fingerprint(self.spec.fingerprint())
-            if sorted(manifest.cells) != sorted(cell_ids):  # pragma: no cover - fingerprint guards this
+            if sorted(manifest.cell_ids) != sorted(cell_ids):  # pragma: no cover - fingerprint guards this
                 raise ManifestError(
                     f"manifest {self.campaign_id!r} tracks a different cell set"
                 )
@@ -554,29 +553,22 @@ class MatrixScheduler:
         totals["wall_seconds"] = sum(row.get("wall_seconds", 0.0) for row in rows)
         return totals
 
-    def _execute_cell(self, cell: MatrixCell, queue: JobQueue, lease,
-                      manifest: Optional[CampaignManifest], pool, runtime,
-                      say: Callable[[str], None]) -> Dict:
+    def _execute_cell(self, cell: MatrixCell, queue: JobQueue, lease, pool,
+                      runtime, say: Callable[[str], None]) -> Dict:
         """Run one claimed cell and publish its completion to the queue.
 
-        When ``manifest`` is given (coordinator), the cell is also tracked
-        through the manifest lease states; joiners pass ``None`` and leave
-        the manifest to the coordinator.  Returns the cell's accepted
-        summary dict — the winner's, if another worker published first.
+        Returns the cell's accepted summary dict — the winner's, if another
+        worker published first.
         """
-        if manifest is not None:
-            manifest.mark_running(cell.cell_id, report_path=self._cell_report_path(cell))
-            if manifest.attempts(cell.cell_id) > 1:
-                say(f"  (attempt {manifest.attempts(cell.cell_id)} — previous "
-                    "claim of this cell died or was interrupted)")
-        # refresh the lease heartbeats as records complete, so a long cell
+        if lease.token > 1:
+            say(f"  (attempt {lease.token} — previous claim of this cell died "
+                "or was interrupted)")
+        # refresh the lease heartbeat as records complete, so a long cell
         # never looks abandoned to the other fabric workers
         beat = [time.monotonic()]
 
-        def _heartbeat(_record, cell_id=cell.cell_id, lease=lease, beat=beat):
+        def _heartbeat(_record, lease=lease, beat=beat):
             if time.monotonic() - beat[0] >= HEARTBEAT_INTERVAL_SECONDS:
-                if manifest is not None:
-                    manifest.touch_running(cell_id)
                 queue.renew(lease)
                 beat[0] = time.monotonic()
 
@@ -592,24 +584,85 @@ class MatrixScheduler:
             winner = queue.result(cell.cell_id)
             if winner is not None and isinstance(winner.get("summary"), dict):
                 summary_dict = winner["summary"]
-        if manifest is not None:
-            manifest.mark_done(cell.cell_id, summary_dict)
         return summary_dict
+
+    def _drain(self, cells: List[MatrixCell], queue: JobQueue, runtime,
+               say: Callable[[str], None], wait: bool) -> Tuple[Dict, Dict]:
+        """The claim loop of both roles: claim and execute ``cells``
+        cheapest-first until none is left.
+
+        A cell another worker completed meanwhile is taken from its result.
+        A cell held by a live claim is retried on the next pass, and
+        :meth:`JobQueue.claim` steals it once the claim goes stale.  When a
+        pass makes no progress the coordinator (``wait``) sleeps
+        :data:`FABRIC_POLL_SECONDS` and tries again; a joiner returns.
+
+        Returns ``(executed, merged)``: the summaries of the cells this
+        worker ran and of those another worker completed, by cell id.
+        """
+        os.makedirs(os.path.join(self.report_dir, self.campaign_id), exist_ok=True)
+        executed: Dict[str, Dict] = {}
+        merged: Dict[str, Dict] = {}
+        remaining = sorted(cells, key=estimate_cell_cost)
+        waiting_announced = False
+        pool = self._make_pool(wanted=bool(cells))
+        try:
+            while remaining:
+                held: List[MatrixCell] = []
+                for cell in remaining:
+                    record = queue.result(cell.cell_id)
+                    if record is not None:
+                        summary = record.get("summary")
+                        merged[cell.cell_id] = summary if isinstance(summary, dict) else {}
+                        worker = record.get("worker") or {}
+                        say(f"merged {cell.cell_id} completed by worker "
+                            f"{worker.get('pid', '?')}@{worker.get('host', '?')}")
+                        continue
+                    lease = queue.claim(cell.cell_id)
+                    if lease is None:
+                        held.append(cell)  # a live worker owns it (for now)
+                        continue
+                    say(f"[{len(executed) + 1}/{len(cells)}] {cell.cell_id} "
+                        f"({cell.mutants} mutant(s), est. cost {estimate_cell_cost(cell):.0f})")
+                    executed[cell.cell_id] = self._execute_cell(
+                        cell, queue, lease, pool, runtime, say)
+                if len(held) == len(remaining):  # nothing moved this pass
+                    if not wait:
+                        break
+                    if not waiting_announced:
+                        say(f"waiting on {len(held)} cell(s) held by live "
+                            "worker(s): " + ", ".join(cell.cell_id for cell in held))
+                        waiting_announced = True
+                    time.sleep(FABRIC_POLL_SECONDS)
+                remaining = held
+        finally:
+            if pool is not None:
+                pool.terminate()
+                pool.join()
+        return executed, merged
+
+    def _queue_view(self, queue: JobQueue):
+        """``(states, done, todo)``: every cell's queue state, the summaries
+        of cells that already have a result, and every other cell."""
+        cells = self.spec.cells()
+        states = queue.cell_states([cell.cell_id for cell in cells])
+        done = {cell_id: (state.result or {}).get("summary") or {}
+                for cell_id, state in states.items() if state.status == "done"}
+        return states, done, [cell for cell in cells if cell.cell_id not in done]
 
     # -- execution ---------------------------------------------------------
 
     def plan(self, resume: bool = False) -> str:
-        """Materialise the manifest and the fabric queue without running
-        anything; returns the manifest path.
+        """Write the manifest (and clear the queue of a fresh sweep) without
+        running anything; returns the manifest path.
 
         This is how a coordinator opens a campaign for ``--join`` workers
         before (or instead of) executing cells itself — the benchmark and
         smoke harnesses use it to measure pure-joiner throughput.
         """
         manifest = self._open_manifest(resume)
-        queue = self._queue()
         if not resume:
-            queue.reset()
+            self._queue().reset()
         return manifest.path
 
     def run(
@@ -620,9 +673,10 @@ class MatrixScheduler:
     ) -> MatrixRunResult:
         """Run (or resume) the sweep; returns per-cell rows and totals.
 
-        On ``KeyboardInterrupt`` (or any crash) the manifest is left with the
-        current cell in ``running`` state, so the next ``run(resume=True)``
-        re-queues exactly that cell and skips everything already ``done``.
+        A fresh run writes the manifest once; a resume never writes it.  On
+        ``KeyboardInterrupt`` (or any crash) the current cell keeps its claim
+        in the queue, so the next ``run(resume=True)`` re-claims exactly that
+        cell (attempt 2) and skips every cell with a result.
 
         ``runtime`` optionally names the :class:`~repro.core.engine.GateRuntime`
         used for in-process verification (see :meth:`Campaign.run`); pool
@@ -630,84 +684,32 @@ class MatrixScheduler:
 
         The run is also the campaign's fabric *coordinator*: every cell is
         claimed through the lease queue before executing, completions
-        published by ``--join`` workers are merged into the manifest instead
-        of re-executed, and cells currently held by a live joiner are waited
-        on (or stolen, once their lease goes stale).
+        published by ``--join`` workers are merged instead of re-executed,
+        and cells held by a live claim are waited on (or stolen, once their
+        lease goes stale).
         """
         say = progress or (lambda message: None)
         start = time.perf_counter()
-        cells = self.spec.cells()
-        by_id = {cell.cell_id: cell for cell in cells}
         manifest = self._open_manifest(resume)
         queue = self._queue()
         if not resume:
             queue.reset()
-
-        reused = set(manifest.completed_cell_ids())
-        interrupted = manifest.interrupted_cell_ids()
-        live = manifest.live_cell_ids()
+        states, summaries, todo = self._queue_view(queue)
+        reused = set(summaries)
         if reused:
-            say(f"resume: {len(reused)} of {len(cells)} cell(s) already done")
-        if interrupted:
-            say(f"resume: re-queueing interrupted cell(s): {', '.join(interrupted)}")
-        if live:
-            say("resume: skipping cell(s) held by a live worker: "
-                + ", ".join(live))
+            say(f"resume: {len(reused)} of {len(states)} cell(s) already done")
+        for status, label in (("interrupted", "re-queueing interrupted cell(s)"),
+                              ("held", "waiting on cell(s) held by a live worker")):
+            named = [cell_id for cell_id, state in states.items() if state.status == status]
+            if named:
+                say(f"resume: {label}: {', '.join(named)}")
 
-        todo = [by_id[cell_id] for cell_id in manifest.remaining_cell_ids()]
-        todo.sort(key=estimate_cell_cost)
-
-        os.makedirs(os.path.join(self.report_dir, self.campaign_id), exist_ok=True)
-        pool = None
-        merged = 0
-        try:
-            pool = self._make_pool(wanted=bool(todo))
-            position = 0
-            remaining = list(todo)
-            waiting_announced = False
-            while remaining:
-                progressed = False
-                held: List[MatrixCell] = []
-                for cell in remaining:
-                    record = queue.result(cell.cell_id)
-                    if record is not None:
-                        # a joiner finished this cell — adopt its verdicts
-                        summary = record.get("summary")
-                        manifest.mark_done(
-                            cell.cell_id,
-                            summary if isinstance(summary, dict) else {})
-                        worker = record.get("worker") or {}
-                        say(f"merged {cell.cell_id} completed by worker "
-                            f"{worker.get('pid', '?')}@{worker.get('host', '?')}")
-                        merged += 1
-                        progressed = True
-                        continue
-                    lease = queue.claim(cell.cell_id)
-                    if lease is None:
-                        held.append(cell)  # a live joiner owns it (for now)
-                        continue
-                    position += 1
-                    say(f"[{position}/{len(todo)}] {cell.cell_id} "
-                        f"({cell.mutants} mutant(s), est. cost {estimate_cell_cost(cell):.0f})")
-                    self._execute_cell(cell, queue, lease, manifest, pool,
-                                       runtime, say)
-                    progressed = True
-                remaining = held
-                if remaining and not progressed:
-                    if not waiting_announced:
-                        say(f"waiting on {len(remaining)} cell(s) held by "
-                            "joined worker(s): "
-                            + ", ".join(cell.cell_id for cell in remaining))
-                        waiting_announced = True
-                    time.sleep(FABRIC_POLL_SECONDS)
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-
-        rows = [self._row_for(cell, manifest.summary(cell.cell_id) or {},
+        executed, merged = self._drain(todo, queue, runtime, say, wait=True)
+        summaries.update(executed)
+        summaries.update(merged)
+        rows = [self._row_for(cell, summaries.get(cell.cell_id, {}),
                               reused=cell.cell_id in reused)
-                for cell in cells]
+                for cell in self.spec.cells()]
         totals = self._totals_for(rows)
         wall = time.perf_counter() - start
 
@@ -729,8 +731,8 @@ class MatrixScheduler:
             "cells": rows,
             "totals": totals,
             "reused_cells": result.reused_cells,
-            #: cells executed and published by --join workers this run
-            "merged_cells": merged,
+            #: cells another worker completed while this run waited on them
+            "merged_cells": len(merged),
             "skipped_combinations": [list(pair) for pair in result.skipped_combinations],
             "wall_seconds": wall,
         }, indent=2)
@@ -743,9 +745,9 @@ class MatrixScheduler:
     ) -> JoinRunResult:
         """Attach to an existing campaign as a fabric worker and drain it.
 
-        A joiner does **no planning** and never writes the manifest: it
-        claims claimable cells from the lease queue (cheapest-first, the
-        same priority order the coordinator uses), executes each through the
+        A joiner does **no planning** and never writes the manifest: it runs
+        the coordinator's claim loop over the cells without a result
+        (cheapest-first, the same priority order), executes each through the
         normal campaign machinery (own per-cell JSONL report), and publishes
         idempotent completion records the coordinator merges.  It returns
         once nothing is left to claim — every remaining cell is either
@@ -753,44 +755,15 @@ class MatrixScheduler:
         """
         say = progress or (lambda message: None)
         start = time.perf_counter()
-        # read-only manifest load: the authoritative "what is this sweep"
-        # record, and a guard against joining a different spec under this id
-        manifest = CampaignManifest.load(self.manifest_dir, self.campaign_id)
-        manifest.check_fingerprint(self.spec.fingerprint())
+        # the manifest is the authoritative "what is this sweep" record, and
+        # its fingerprint guards against joining a different spec under this id
+        manifest = self._open_manifest(resume=True)
         queue = self._queue()
-
-        done = set(manifest.completed_cell_ids())
-        order = [cell for cell in sorted(self.spec.cells(), key=estimate_cell_cost)
-                 if cell.cell_id not in done]
-        os.makedirs(os.path.join(self.report_dir, self.campaign_id), exist_ok=True)
-
-        rows: List[Dict] = []
-        pool = None
-        try:
-            pool = self._make_pool(wanted=bool(order))
-            progressed = True
-            while progressed:
-                # re-scan after every pass: cells abandoned by a worker that
-                # died while we were busy become claimable (stale lease)
-                progressed = False
-                for cell in order:
-                    if queue.result(cell.cell_id) is not None:
-                        continue
-                    lease = queue.claim(cell.cell_id)
-                    if lease is None:
-                        continue
-                    say(f"join: {cell.cell_id} (claim generation {lease.token}"
-                        + (", stolen from a stale lease" if lease.stolen else "")
-                        + ")")
-                    summary = self._execute_cell(cell, queue, lease, None,
-                                                 pool, runtime, say)
-                    rows.append(self._row_for(cell, summary, reused=False))
-                    progressed = True
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-
+        _states, _done, todo = self._queue_view(queue)
+        executed, _merged = self._drain(todo, queue, runtime, say, wait=False)
+        by_id = {cell.cell_id: cell for cell in todo}
+        rows = [self._row_for(by_id[cell_id], summary, reused=False)
+                for cell_id, summary in executed.items()]
         return JoinRunResult(
             campaign_id=self.campaign_id,
             manifest_path=manifest.path,

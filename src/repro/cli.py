@@ -66,23 +66,24 @@ family instance (the PR-1 workflow).  With ``--matrix <spec.toml>``, inline
 ``--families``/``--sizes``/``--modes`` flags, or ``--resume <id>`` it runs a
 whole benchmark *matrix*: every (family, size, mode) cell becomes its own
 campaign, cells run cheapest-first over a shared worker pool, per-cell JSONL
-reports land under ``--report-dir``, and progress checkpoints into a resumable
-manifest (``--manifest-dir``) keyed by the campaign id printed at the start.
-Interrupt a sweep with Ctrl-C and ``campaign --resume <id>`` finishes it
-without re-verifying completed cells.  ``campaign ls`` lists every manifest in
-the manifest directory with its per-verdict cell counts, the owner and
-heartbeat age of the freshest running lease, the maximum per-cell attempt
-count, and whether ``--resume`` would pick up remaining work.
+reports land under ``--report-dir``, and the sweep is recorded in a manifest
+(``--manifest-dir``) keyed by the campaign id printed at the start.  Every
+cell is claimed and published through a lease-based job queue next to the
+manifest, so Ctrl-C loses at most the running cell and ``campaign --resume
+<id>`` finishes the sweep without re-verifying completed cells.  ``campaign
+ls`` lists every manifest in the manifest directory with its per-verdict cell
+counts, the owner and heartbeat age of the freshest claim, the maximum
+per-cell attempt count, and whether ``--resume`` would pick up remaining
+work — all read from the queue, so cells held or finished by joiners count.
 
 A running matrix sweep is also a **distributed campaign** (see
-``docs/distributed.md``): the scheduler claims every cell through a
-lease-based job queue next to the manifest, so ``campaign --join <id>`` from
-any process sharing the manifest directory attaches as an extra worker —
-it drains claimable cells, writes its own per-cell JSONL reports, and
-publishes idempotent completion records the coordinating sweep merges into
-the manifest and ``summary.json``.  Kill a joiner at any point: its leases
-expire (``$AUTOQ_REPRO_LEASE_TTL``, immediately for a dead same-host pid)
-and the surviving workers steal and finish its cells.
+``docs/distributed.md``): ``campaign --join <id>`` from any process sharing
+the manifest directory attaches as an extra worker — it drains claimable
+cells from the queue, writes its own per-cell JSONL reports, and publishes
+idempotent completion records the coordinating sweep merges into
+``summary.json``.  Kill a joiner at any point: its leases expire
+(``$AUTOQ_REPRO_LEASE_TTL``, immediately for a dead same-host pid) and the
+surviving workers steal and finish its cells.
 
 ``verify`` and ``campaign`` accept ``--profile``, which prints the per-phase
 engine breakdown (tag/terms/bin/untag for the composition pipeline, plus
@@ -114,6 +115,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import Optional, Sequence
 
 from .api import (
@@ -150,6 +152,7 @@ from .campaign.plan import MUTATION_KINDS
 from .circuits import inject_random_gate, load_qasm_file, save_qasm_file
 from .circuits.metrics import summarise as circuit_summary
 from .core import AnalysisMode
+from .dist.queue import JobQueue
 from .ta.store import AutomatonStore, default_store_dir
 from .ta.timbuk import save_timbuk
 
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--join", metavar="ID", default=None,
                           help="attach to the campaign with this id as an extra fabric "
                                "worker: claim cells from its lease queue, publish "
-                               "completions, never touch the manifest (the coordinating "
+                               "completions, never write the manifest (the coordinating "
                                "sweep merges them; see docs/distributed.md)")
     campaign.add_argument("--resume", metavar="ID", default=None,
                           help="resume the campaign with this id: completed cells are "
@@ -868,7 +871,7 @@ def _command_campaign_matrix(args) -> int:
         }))
     print(format_cell_table(result.rows, result.totals))
     if result.reused_cells:
-        print(f"resumed:   {result.reused_cells} cell(s) reused from the manifest")
+        print(f"resumed:   {result.reused_cells} cell(s) reused from the queue")
     if result.totals.get("store_hits") or result.totals.get("store_publishes"):
         print(f"store:     {result.totals['store_hits']} hit(s), "
               f"{result.totals['store_misses']} miss(es), "
@@ -945,6 +948,46 @@ def _command_campaign_join(args) -> int:
     return exit_code
 
 
+def _campaign_ls_row(directory: str, campaign_id: str, cell_ids: list) -> dict:
+    """One ``campaign ls`` row, read from the campaign's lease queue."""
+    states = JobQueue(directory, campaign_id).cell_states(cell_ids)
+    counts = {"done": 0, "held": 0, "interrupted": 0, "pending": 0}
+    totals = {"jobs": 0, "holds": 0, "violated": 0, "unsupported": 0, "errors": 0}
+    freshest = None  # (heartbeat, state) of the freshest claim on an unfinished cell
+    for state in states.values():
+        counts[state.status] += 1
+        summary = (state.result or {}).get("summary") or {}
+        for key in totals:
+            totals[key] += int(summary.get(key, 0) or 0)
+        if state.status in ("held", "interrupted") and state.lease:
+            try:
+                beat = float(state.lease["heartbeat"])
+            except (KeyError, TypeError, ValueError):
+                continue
+            if freshest is None or beat > freshest[0]:
+                freshest = (beat, state)
+    owner = None
+    if freshest is not None:
+        lease = freshest[1].lease
+        owner = f"{lease.get('pid', '?')}@{lease.get('host', '?')}"
+    return {
+        "campaign_id": campaign_id,
+        "cells_done": counts["done"],
+        "cells_total": len(states),
+        "cells_running": counts["held"] + counts["interrupted"],
+        "cells_pending": counts["pending"],
+        "complete": counts["done"] == len(states),
+        # fabric/lease columns: who holds the freshest claim, how stale its
+        # heartbeat is, and the worst per-cell claim count
+        "owner": owner,
+        "heartbeat_age": (None if freshest is None
+                          else max(0.0, time.time() - freshest[0])),
+        "owner_live": freshest is not None and freshest[1].status == "held",
+        "attempts": max((state.attempts for state in states.values()), default=0),
+        **totals,
+    }
+
+
 def _command_campaign_ls(args) -> int:
     """``campaign ls``: list every manifest with cell counts by verdict."""
     directory = args.manifest_dir or default_manifest_dir()
@@ -957,24 +1000,7 @@ def _command_campaign_ls(args) -> int:
         except ManifestError as error:
             unreadable.append((campaign_id, str(error)))
             continue
-        progress = manifest.progress()
-        totals = manifest.verdict_totals()
-        leases = manifest.lease_overview()
-        listing.append({
-            "campaign_id": campaign_id,
-            "cells_done": progress["done"],
-            "cells_total": len(manifest.cells),
-            "cells_running": progress["running"],
-            "cells_pending": progress["pending"],
-            "complete": manifest.is_complete(),
-            # fabric/lease columns: who holds the freshest running lease,
-            # how stale its heartbeat is, and the worst per-cell claim count
-            "owner": leases["owner"],
-            "heartbeat_age": leases["heartbeat_age"],
-            "owner_live": leases["live"],
-            "attempts": leases["attempts"],
-            **totals,
-        })
+        listing.append(_campaign_ls_row(directory, campaign_id, manifest.cell_ids))
     if args.json:
         for campaign_id, error in unreadable:
             print(f"{campaign_id:<24} (unreadable: {error})", file=sys.stderr)

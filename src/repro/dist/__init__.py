@@ -1,14 +1,14 @@
 """Distributed campaign fabric: many workers, one campaign.
 
-The paper's Table 2/3 sweeps are embarrassingly parallel, and the pieces
-built by earlier PRs — the resumable manifest with pid/host/heartbeat leases,
-the content-addressed automaton store — were designed as coordination
-substrate.  This package turns them into an actual multi-process fabric:
+The paper's Table 2/3 sweeps are embarrassingly parallel at the cell level.
+This package turns a matrix sweep into a multi-process fabric:
 
-* :mod:`repro.dist.queue` — a lease-based job queue layered on the campaign
-  manifest directory.  Atomic claims with fencing tokens, heartbeat renewal,
-  idempotent first-writer-wins completion, and TTL-based re-queue of cells
-  owned by dead workers.
+* :mod:`repro.dist.queue` — the lease-based job queue next to the campaign
+  manifest, and the only record of cell state.  Atomic claims with fencing
+  tokens, heartbeat renewal, idempotent first-writer-wins completion, and
+  TTL-based re-queue of cells owned by dead workers;
+  :meth:`~repro.dist.JobQueue.cell_states` is the read-only view resume,
+  ``campaign ls`` and the coordinator's roll-up share.
 
 Workers attach with ``campaign --join <id>`` (see
 :meth:`repro.campaign.scheduler.MatrixScheduler.join`); the coordinator's

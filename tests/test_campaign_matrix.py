@@ -1,4 +1,4 @@
-"""Tests for the campaign matrix scheduler and its resumable manifest."""
+"""Tests for the campaign matrix scheduler and its sweep manifest."""
 
 import json
 import os
@@ -26,7 +26,7 @@ from repro.campaign import (
     parse_sizes,
     read_report,
 )
-from repro.campaign.manifest import CELL_DONE, CELL_PENDING, CELL_RUNNING
+from repro.dist.queue import JobQueue, QueueLease
 
 
 class TestFamilyCapabilities:
@@ -206,23 +206,32 @@ class TestManifest:
         )
         loaded = CampaignManifest.load(str(tmp_path), "mx-test")
         assert loaded.spec == {"families": ["ghz"]}
-        assert loaded.cell_ids() == ["a", "b"]
-        assert loaded.status("a") == CELL_PENDING
+        assert loaded.cell_ids == ["a", "b"]
         assert manifest.path == loaded.path
+        # the file is the sweep record only: no per-cell state
+        with open(manifest.path) as handle:
+            assert json.load(handle)["cells"] == ["a", "b"]
 
-    def test_transitions_persist(self, tmp_path):
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a", "b"])
-        manifest.mark_running("a", report_path="a.jsonl")
-        manifest.mark_done("a", {"jobs": 3})
-        manifest.mark_running("b")
-        loaded = CampaignManifest.load(str(tmp_path), "mx-test")
-        assert loaded.status("a") == CELL_DONE
-        assert loaded.summary("a") == {"jobs": 3}
-        assert loaded.status("b") == CELL_RUNNING
-        assert loaded.completed_cell_ids() == ["a"]
-        assert loaded.interrupted_cell_ids() == ["b"]
-        assert loaded.remaining_cell_ids() == ["b"]
-        assert not loaded.is_complete()
+    def test_version_one_cell_mapping_loads_as_its_ids(self, tmp_path):
+        # manifests written before the queue became the only record of cell
+        # state map each cell id to its lease state
+        path = CampaignManifest.path_for(str(tmp_path), "mx-old")
+        with open(path, "w") as handle:
+            json.dump({"version": 1, "campaign_id": "mx-old", "spec": {},
+                       "spec_fingerprint": "fp", "cells": {
+                           "b": {"status": "done", "summary": {"jobs": 3}},
+                           "a": {"status": "running", "attempts": 2,
+                                 "owner": {"pid": 1, "host": "h", "heartbeat": 0.0}},
+                       }}, handle)
+        assert CampaignManifest.load(str(tmp_path), "mx-old").cell_ids == ["b", "a"]
+
+    def test_malformed_cells_field_is_an_error(self, tmp_path):
+        path = CampaignManifest.path_for(str(tmp_path), "mx-bad")
+        with open(path, "w") as handle:
+            json.dump({"campaign_id": "mx-bad", "spec": {}, "spec_fingerprint": "fp",
+                       "cells": 3}, handle)
+        with pytest.raises(ManifestError, match="malformed"):
+            CampaignManifest.load(str(tmp_path), "mx-bad")
 
     def test_missing_manifest_is_an_error(self, tmp_path):
         with pytest.raises(ManifestError, match="no manifest"):
@@ -242,96 +251,6 @@ class TestManifest:
         with pytest.raises(ManifestError, match="different sweep spec"):
             manifest.check_fingerprint("fp-two")
 
-    def test_mark_running_records_a_lease(self, tmp_path):
-        import socket
-
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a"])
-        manifest.mark_running("a")
-        loaded = CampaignManifest.load(str(tmp_path), "mx-test")
-        owner = loaded.cells["a"]["owner"]
-        assert owner["pid"] == os.getpid()
-        assert owner["host"] == socket.gethostname()
-        assert owner["heartbeat"] > 0
-
-    def test_own_lease_is_reclaimable_on_same_process_resume(self, tmp_path):
-        # KeyboardInterrupt + --resume in the same process must re-queue the
-        # cell even though its owning pid (ours) is alive
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a"])
-        manifest.mark_running("a")
-        assert manifest.interrupted_cell_ids() == ["a"]
-        assert manifest.remaining_cell_ids() == ["a"]
-
-    def test_live_foreign_lease_is_not_requeued(self, tmp_path):
-        import socket
-
-        from repro.campaign.manifest import lease_is_stale
-
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a"])
-        manifest.mark_running("a")
-        # rewrite the lease as if pid 1 (always alive, never ours) held it
-        manifest.cells["a"]["owner"] = {
-            "pid": 1, "host": socket.gethostname(), "heartbeat": time.time(),
-        }
-        manifest.save()
-        loaded = CampaignManifest.load(str(tmp_path), "mx-test")
-        assert loaded.interrupted_cell_ids() == []
-        assert loaded.live_cell_ids() == ["a"]
-        assert loaded.remaining_cell_ids() == []
-        assert not lease_is_stale(loaded.cells["a"]["owner"])
-
-    def test_dead_pid_lease_is_stale(self, tmp_path):
-        import socket
-
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a"])
-        manifest.mark_running("a")
-        manifest.cells["a"]["owner"] = {
-            "pid": 2**22 + 12345,  # beyond any default pid_max on CI hosts
-            "host": socket.gethostname(), "heartbeat": time.time(),
-        }
-        manifest.save()
-        loaded = CampaignManifest.load(str(tmp_path), "mx-test")
-        assert loaded.interrupted_cell_ids() == ["a"]
-
-    def test_other_host_lease_goes_by_heartbeat_alone(self, tmp_path):
-        from repro.campaign.manifest import LEASE_TTL_SECONDS, lease_is_stale
-
-        fresh = {"pid": 1, "host": "elsewhere", "heartbeat": time.time()}
-        stale = {"pid": 1, "host": "elsewhere",
-                 "heartbeat": time.time() - LEASE_TTL_SECONDS - 1}
-        assert not lease_is_stale(fresh)
-        assert lease_is_stale(stale)
-
-    def test_legacy_ownerless_running_cell_is_stale(self, tmp_path):
-        from repro.campaign.manifest import lease_is_stale
-
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a"])
-        manifest.mark_running("a")
-        manifest.cells["a"].pop("owner")  # manifest written before leases existed
-        manifest.save()
-        loaded = CampaignManifest.load(str(tmp_path), "mx-test")
-        assert loaded.interrupted_cell_ids() == ["a"]
-        assert lease_is_stale(None) and lease_is_stale({})
-
-    def test_touch_running_refreshes_the_heartbeat(self, tmp_path):
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a"])
-        manifest.mark_running("a")
-        manifest.cells["a"]["owner"]["heartbeat"] = 1.0  # ancient
-        manifest.save()
-        manifest.touch_running("a")
-        loaded = CampaignManifest.load(str(tmp_path), "mx-test")
-        assert loaded.cells["a"]["owner"]["heartbeat"] > 1.0
-        # touching a non-running cell is a silent no-op
-        manifest.mark_done("a", {})
-        manifest.touch_running("a")
-        assert "owner" not in CampaignManifest.load(str(tmp_path), "mx-test").cells["a"]
-
-    def test_mark_done_drops_the_lease(self, tmp_path):
-        manifest = CampaignManifest.create(str(tmp_path), "mx-test", {}, "fp", ["a"])
-        manifest.mark_running("a")
-        manifest.mark_done("a", {"jobs": 1})
-        loaded = CampaignManifest.load(str(tmp_path), "mx-test")
-        assert "owner" not in loaded.cells["a"]
-
     def test_default_manifest_dir_matches_its_documentation(self, monkeypatch):
         from repro.campaign.manifest import MANIFEST_DIR_ENV, default_manifest_dir
 
@@ -340,6 +259,11 @@ class TestManifest:
         monkeypatch.delenv(MANIFEST_DIR_ENV)
         expected_suffix = os.path.join(".cache", "autoq-repro", "manifests")
         assert default_manifest_dir().endswith(expected_suffix)
+
+
+def _states(manifest_dir, manifest):
+    """The queue view of every cell of a manifest."""
+    return JobQueue(str(manifest_dir), manifest.campaign_id).cell_states(manifest.cell_ids)
 
 
 def _scheduler(tmp_path, spec, **overrides) -> MatrixScheduler:
@@ -371,9 +295,22 @@ class TestMatrixScheduler:
             rollup = json.load(handle)
         assert rollup["totals"] == result.totals
         assert rollup["campaign_id"] == result.campaign_id
-        # the manifest is complete
+        # every cell of the manifest has a result in the queue
         manifest = CampaignManifest.load(str(tmp_path / "manifests"), result.campaign_id)
-        assert manifest.is_complete()
+        states = _states(tmp_path / "manifests", manifest)
+        assert {state.status for state in states.values()} == {"done"}
+
+    def test_run_writes_the_manifest_once_and_a_resume_never(self, tmp_path, monkeypatch):
+        saves = []
+        real_save = CampaignManifest.save
+        monkeypatch.setattr(CampaignManifest, "save",
+                            lambda manifest: (saves.append(manifest.path),
+                                              real_save(manifest))[1])
+        spec = _spec(sizes={"mctoffoli": "2-3", "ghz": [3]}, mutants=1)
+        first = _scheduler(tmp_path, spec).run()
+        assert saves == [first.manifest_path]
+        _scheduler(tmp_path, spec).run(resume=True)
+        assert saves == [first.manifest_path]
 
     def test_cells_run_cheapest_first(self, tmp_path):
         spec = _spec(sizes={"mctoffoli": [2], "ghz": [5]})
@@ -409,8 +346,9 @@ class TestMatrixScheduler:
         monkeypatch.setattr(runner_module, "execute_job", real_execute)
 
         manifest = CampaignManifest.load(scheduler.manifest_dir, scheduler.campaign_id)
-        assert len(manifest.completed_cell_ids()) == 1
-        assert len(manifest.interrupted_cell_ids()) == 1
+        statuses = sorted(state.status for state in
+                          _states(scheduler.manifest_dir, manifest).values())
+        assert statuses == ["done", "interrupted", "pending"]
 
         # resume: the done cell must not re-run a single job
         calls["count"] = 0
@@ -419,9 +357,13 @@ class TestMatrixScheduler:
             real_execute(job, *args, **kwargs),
         )[1]
         monkeypatch.setattr(runner_module, "execute_job", counting)
+        seen = []
         result = _scheduler(tmp_path / "resumed", spec,
-                            campaign_id=scheduler.campaign_id).run(resume=True)
+                            campaign_id=scheduler.campaign_id).run(
+                                resume=True, progress=seen.append)
         assert result.reused_cells == 1
+        # the interrupted cell is re-claimed at the next claim generation
+        assert any(line.strip().startswith("(attempt 2") for line in seen)
         remaining_cells = len(spec.cells()) - 1
         assert calls["count"] == remaining_cells * (spec.mutants + 1)
 
@@ -434,33 +376,59 @@ class TestMatrixScheduler:
         for key in ("jobs", "holds", "violated", "unsupported", "errors"):
             assert result.totals[key] == baseline.totals[key]
 
-    def test_resume_skips_cells_held_by_a_live_worker(self, tmp_path):
-        import socket
+    def test_coordinator_waits_on_a_live_claim_then_merges_its_result(
+            self, tmp_path, monkeypatch):
+        import repro.campaign.runner as runner_module
+        import repro.campaign.scheduler as scheduler_module
 
         spec = _spec()
+        solo = _scheduler(tmp_path / "solo", spec).run()
+        solo_queue = JobQueue(str(tmp_path / "solo" / "manifests"), solo.campaign_id)
+
         scheduler = _scheduler(tmp_path, spec)
-        result = scheduler.run()
-        assert result.trustworthy
-        # pretend another live process (pid 1) is mid-way through one cell
-        manifest = CampaignManifest.load(str(tmp_path / "manifests"),
-                                         scheduler.campaign_id)
+        scheduler.plan()
+        queue = JobQueue(scheduler.manifest_dir, scheduler.campaign_id)
         held = spec.cells()[0].cell_id
-        manifest.cells[held]["status"] = CELL_RUNNING
-        manifest.cells[held]["owner"] = {
-            "pid": 1, "host": socket.gethostname(), "heartbeat": time.time(),
-        }
-        manifest.save()
+        # another live worker (fresh heartbeat, other host) holds one cell
+        foreign = {"pid": 4242, "host": "elsewhere.example", "heartbeat": time.time()}
+        os.makedirs(queue.claim_dir)
+        claim_path = os.path.join(queue.claim_dir, f"{held}.t1.json")
+        with open(claim_path, "w") as handle:
+            json.dump({"cell_id": held, "token": 1, "lease": foreign}, handle)
+
+        # ... and publishes that cell's result while the coordinator waits
+        naps = []
+
+        def publish_while_waiting(seconds):
+            naps.append(seconds)
+            lease = QueueLease(cell_id=held, token=1, path=claim_path, owner=foreign)
+            assert queue.complete(lease, solo_queue.result(held)["summary"]) == "accepted"
+
+        monkeypatch.setattr(scheduler_module.time, "sleep", publish_while_waiting)
+        executed = []
+        real_execute = runner_module.execute_job
+        monkeypatch.setattr(runner_module, "execute_job", lambda job, *args, **kwargs: (
+            executed.append(job), real_execute(job, *args, **kwargs))[1])
         seen = []
-        resumed = _scheduler(tmp_path, spec).run(resume=True, progress=seen.append)
+        result = _scheduler(tmp_path, spec).run(resume=True, progress=seen.append)
+
+        assert naps == [scheduler_module.FABRIC_POLL_SECONDS]
         assert any("held by a live worker" in line and held in line for line in seen)
-        # the held cell was neither re-run nor stolen
+        # the held cell was merged, never executed here
         assert not any(line.startswith("[") and held in line for line in seen)
-        loaded = CampaignManifest.load(str(tmp_path / "manifests"),
-                                       scheduler.campaign_id)
-        assert loaded.status(held) == CELL_RUNNING
-        assert loaded.cells[held]["owner"]["pid"] == 1
-        assert not loaded.is_complete()  # the held cell is still outstanding
-        assert resumed.campaign_id == scheduler.campaign_id
+        assert len(executed) == (len(spec.cells()) - 1) * (spec.mutants + 1)
+        with open(result.summary_path) as handle:
+            rollup = json.load(handle)
+        assert rollup["merged_cells"] == 1
+        assert rollup["reused_cells"] == 0
+
+        def verdicts(rows):
+            keys = ("cell", "jobs", "holds", "violated", "unsupported", "errors")
+            return [{key: row[key] for key in keys} for row in rows]
+
+        assert verdicts(result.rows) == verdicts(solo.rows)
+        for key in ("jobs", "holds", "violated", "unsupported", "errors"):
+            assert result.totals[key] == solo.totals[key]
 
     def test_resume_without_manifest_is_an_error(self, tmp_path):
         with pytest.raises(ManifestError):

@@ -282,7 +282,7 @@ class TestCampaignMatrixCommand:
         campaign_id = next(word for word in out.split() if word.startswith("mx-"))
         assert main(self._argv(tmp_path, "--resume", campaign_id)) == 0
         out = capsys.readouterr().out
-        assert "2 cell(s) reused from the manifest" in out
+        assert "2 cell(s) reused from the queue" in out
         assert "resumed" in out
 
     def test_inline_flags_build_a_sweep(self, tmp_path, capsys):
@@ -370,14 +370,16 @@ class TestCampaignLsCommand:
 
     def test_ls_reports_resumable_campaigns(self, tmp_path, capsys):
         from repro.campaign import CampaignManifest
+        from repro.dist import JobQueue
 
         directory = self._manifest_dir(tmp_path)
-        manifest = CampaignManifest.create(
+        CampaignManifest.create(
             directory, "mx-partial", {"families": ["ghz"]}, "fp", ["cell-a", "cell-b", "cell-c"]
         )
-        manifest.mark_running("cell-a")
-        manifest.mark_done("cell-b", {"jobs": 5, "holds": 4, "violated": 1,
-                                      "unsupported": 0, "errors": 0})
+        queue = JobQueue(directory, "mx-partial")
+        queue.claim("cell-a")  # our own pid: reads as interrupted
+        queue.complete(queue.claim("cell-b"), {"jobs": 5, "holds": 4, "violated": 1,
+                                               "unsupported": 0, "errors": 0})
         assert main(["campaign", "ls", "--manifest-dir", directory]) == 0
         out = capsys.readouterr().out
         assert "mx-partial" in out
@@ -385,6 +387,131 @@ class TestCampaignLsCommand:
         assert "1 interrupted" in out
         assert "1 pending" in out
         assert "1/3" in out
+
+    def _ls_json(self, capsys, directory):
+        import json
+
+        capsys.readouterr()
+        assert main(["campaign", "ls", "--manifest-dir", directory, "--json"]) == 0
+        campaigns = json.loads(capsys.readouterr().out)["data"]["campaigns"]
+        return {row["campaign_id"]: row for row in campaigns}
+
+    @staticmethod
+    def _bv_spec():
+        from repro.campaign import MatrixSpec
+
+        return MatrixSpec.from_mapping({"families": ["bv"], "sizes": "2-4", "mutants": 2})
+
+    def _planned(self, tmp_path, campaign_id):
+        from repro.campaign import MatrixScheduler
+
+        scheduler = MatrixScheduler(
+            self._bv_spec(), report_dir=str(tmp_path / "reports"),
+            manifest_dir=self._manifest_dir(tmp_path), cache_dir="",
+            campaign_id=campaign_id)
+        scheduler.plan()
+        return scheduler
+
+    def test_ls_counts_cells_a_joiner_finished_and_holds(self, tmp_path, capsys):
+        import os
+        import time
+
+        from repro.campaign import MatrixScheduler
+        from repro.dist import JobQueue
+
+        directory = self._manifest_dir(tmp_path)
+        self._planned(tmp_path, "mx-joined")
+        joined = MatrixScheduler.join(
+            "mx-joined", report_dir=str(tmp_path / "join-reports"),
+            manifest_dir=directory, cache_dir="").run_join()
+        assert joined.cells_executed == 3
+        # a second campaign: another host's worker holds one cell right now
+        held = self._planned(tmp_path, "mx-held").spec.cells()[0].cell_id
+        queue = JobQueue(directory, "mx-held")
+        os.makedirs(queue.claim_dir, exist_ok=True)
+        with open(os.path.join(queue.claim_dir, f"{held}.t1.json"), "w") as handle:
+            handle.write('{"lease": {"pid": 4242, "host": "elsewhere.example", '
+                         f'"heartbeat": {time.time()}}}}}')
+
+        rows = self._ls_json(capsys, directory)
+        drained = rows["mx-joined"]
+        assert drained["cells_done"] == 3 and drained["complete"] is True
+        for key in ("jobs", "holds", "violated", "unsupported", "errors"):
+            assert drained[key] == joined.totals[key]
+        busy = rows["mx-held"]
+        assert busy["cells_running"] == 1 and busy["cells_pending"] == 2
+        assert busy["owner_live"] is True
+        assert busy["owner"] == "4242@elsewhere.example"
+        assert busy["attempts"] == 1 and busy["complete"] is False
+
+    def test_ls_leaves_the_manifest_directory_unchanged(self, tmp_path, capsys):
+        import os
+
+        from repro.campaign import CampaignManifest
+        from repro.dist import JobQueue
+
+        directory = self._manifest_dir(tmp_path)
+        # no queue directory at all, e.g. a sweep from before the queue existed
+        CampaignManifest.create(directory, "mx-bare", {}, "fp", ["cell-a"])
+        CampaignManifest.create(directory, "mx-queued", {}, "fp", ["cell-a", "cell-b"])
+        queue = JobQueue(directory, "mx-queued")
+        queue.complete(queue.claim("cell-a"), {"jobs": 1, "holds": 1})
+        queue.claim("cell-b")
+
+        def tree():
+            return sorted(
+                (os.path.relpath(os.path.join(root, name), directory),
+                 os.stat(os.path.join(root, name)).st_mtime_ns)
+                for root, dirs, files in os.walk(directory) for name in dirs + files)
+
+        before = tree()
+        assert main(["campaign", "ls", "--manifest-dir", directory]) == 0
+        rows = self._ls_json(capsys, directory)
+        assert tree() == before
+        assert rows["mx-bare"]["cells_pending"] == 1
+        assert rows["mx-queued"]["cells_done"] == 1
+
+    def test_version_one_manifest_with_its_queue_lists_and_resumes(self, tmp_path, capsys):
+        import json
+        import os
+
+        from repro.campaign import MatrixScheduler
+        from repro.dist import JobQueue
+
+        directory = self._manifest_dir(tmp_path)
+        spec = self._bv_spec()
+        first = MatrixScheduler(spec, report_dir=str(tmp_path / "reports"),
+                                manifest_dir=directory, cache_dir="",
+                                campaign_id="mx-old").run()
+        queue = JobQueue(directory, "mx-old")
+        summaries = {cell_id: queue.result(cell_id)["summary"]
+                     for cell_id in (row["cell"] for row in first.rows)}
+        # the old coordinator died inside the last cell: no result, a claim
+        # left by a dead pid, and the version-1 manifest's lease book
+        last = first.rows[-1]["cell"]
+        os.unlink(queue._result_path(last))
+        dead = {"pid": 2**22 + 12345, "host": "elsewhere.example", "heartbeat": 0.0}
+        with open(os.path.join(queue.claim_dir, f"{last}.t1.json"), "w") as handle:
+            json.dump({"cell_id": last, "token": 1, "lease": dead}, handle)
+        cells = {cell_id: {"status": "done", "summary": summary, "attempts": 1,
+                           "report_path": summary["report_path"]}
+                 for cell_id, summary in summaries.items()}
+        cells[last] = {"status": "running", "summary": None, "owner": dead,
+                       "attempts": 1, "report_path": summaries[last]["report_path"]}
+        with open(first.manifest_path, "w") as handle:
+            json.dump({"version": 1, "campaign_id": "mx-old", "spec": spec.to_dict(),
+                       "spec_fingerprint": spec.fingerprint(), "cells": cells}, handle)
+
+        listed = self._ls_json(capsys, directory)["mx-old"]
+        assert (listed["cells_done"], listed["cells_running"]) == (2, 1)
+        assert listed["owner_live"] is False and listed["complete"] is False
+        assert main(["campaign", "--resume", "mx-old", "--json", "--no-cache",
+                     "--report-dir", str(tmp_path / "reports"),
+                     "--manifest-dir", directory]) == 0
+        resumed = json.loads(capsys.readouterr().out)["data"]
+        assert resumed["reused_cells"] == 2
+        assert resumed["totals"]["jobs"] == first.totals["jobs"]
+        assert self._ls_json(capsys, directory)["mx-old"]["complete"] is True
 
     def test_ls_empty_directory(self, tmp_path, capsys):
         assert main(["campaign", "ls", "--manifest-dir", self._manifest_dir(tmp_path)]) == 0

@@ -1,8 +1,9 @@
 """Distributed campaign fabric units (``repro.dist`` + store backends).
 
 Covers the lease queue's coordination primitives in-process — atomic claims
-with fencing tokens, heartbeat renewal, stale-lease stealing, idempotent
-first-writer-wins completion — plus the pluggable store backends (local
+with fencing tokens, heartbeat renewal, the lease-liveness rule and
+stale-lease stealing, idempotent first-writer-wins completion, the read-only
+cell-state view — plus the pluggable store backends (local
 sharded directory vs. HTTP against a live daemon), the per-client retry
 jitter derivation, and the in-process plan → join → merge workflow.  The
 cross-*process* guarantees (two joined schedulers, SIGKILLed joiner) live in
@@ -20,7 +21,13 @@ from repro.api.client import ServiceClient
 from repro.api import SessionConfig
 from repro.campaign import JoinRunResult, ManifestError, MatrixScheduler, MatrixSpec
 from repro.dist import JobQueue, queue_dir_for, result_fingerprint
-from repro.dist.queue import LEASE_TTL_ENV, QueueLease, default_lease_ttl
+from repro.dist.queue import (
+    LEASE_TTL_ENV,
+    LEASE_TTL_SECONDS,
+    QueueLease,
+    default_lease_ttl,
+    lease_is_stale,
+)
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -61,6 +68,9 @@ def _foreign_live_lease() -> dict:
 
 
 def _write_claim(queue: JobQueue, cell_id: str, token: int, lease) -> str:
+    """Forge another worker's claim (the queue creates its directories on
+    first write, so a fresh queue may not have one yet)."""
+    os.makedirs(queue.claim_dir, exist_ok=True)
     path = os.path.join(queue.claim_dir, f"{cell_id}.t{token}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"campaign_id": queue.campaign_id, "cell_id": cell_id,
@@ -75,6 +85,10 @@ class TestClaims:
         assert lease is not None
         assert lease.token == 1 and not lease.stolen
         assert os.path.exists(lease.path)
+        # the claim file carries this process's lease
+        assert lease.owner["pid"] == os.getpid()
+        assert lease.owner["host"] == socket.gethostname()
+        assert queue.current_claim("cell-a") == (1, lease.owner)
         assert queue.counters["cells_claimed"] == 1
         assert queue.counters["cells_stolen"] == 0
 
@@ -183,6 +197,31 @@ class TestRenewal:
         assert queue.renew(lease) is False
         assert lease.renewals == 0
 
+    def test_renew_fails_once_a_thief_completed_the_cell(self, tmp_path):
+        # the thief's completion dropped every claim of the cell; the deposed
+        # worker must not count a renewal or resurrect its claim file
+        victim, thief = _queue(tmp_path), _queue(tmp_path)
+        lease = victim.claim("cell-a")
+        stolen = thief.claim("cell-a")  # our own pid reads as stale
+        assert stolen.token == lease.token + 1
+        assert thief.complete(stolen, _summary()) == "accepted"
+        assert victim.renew(lease) is False
+        assert lease.renewals == 0
+        assert victim.counters["lease_renewals"] == 0
+        assert os.listdir(victim.claim_dir) == []
+
+    def test_failed_renewal_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        queue = _queue(tmp_path)
+        lease = queue.claim("cell-a")
+
+        def refuse(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert queue.renew(lease) is False
+        assert os.listdir(queue.claim_dir) == [os.path.basename(lease.path)]
+        assert lease.renewals == 0
+
 
 class TestCompletion:
     def test_first_writer_wins_and_duplicates_are_discarded(self, tmp_path):
@@ -226,6 +265,7 @@ class TestCompletion:
 
     def test_garbled_result_file_is_deleted_not_trusted(self, tmp_path):
         queue = _queue(tmp_path)
+        os.makedirs(queue.result_dir)
         path = queue._result_path("cell-a")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
@@ -233,25 +273,129 @@ class TestCompletion:
         assert not os.path.exists(path)
 
 
-class TestQueueInventory:
-    def test_pending_cells_skips_done_and_live_held(self, tmp_path):
+class TestLeaseLiveness:
+    """The rule every claim is judged by (``lease_is_stale``)."""
+
+    def test_own_pid_is_reclaimable(self, tmp_path):
+        # a same-process resume (e.g. after KeyboardInterrupt) re-claims its
+        # own cells although the owning pid, ours, is alive
+        queue = _queue(tmp_path)
+        first = queue.claim("cell-a")
+        assert lease_is_stale(first.owner)
+        assert queue.cell_states(["cell-a"])["cell-a"].status == "interrupted"
+        assert queue.claim("cell-a").token == first.token + 1
+
+    def test_live_same_host_pid_blocks_the_claim(self, tmp_path):
+        queue = _queue(tmp_path)
+        # pid 1 is always alive and never ours
+        lease = {"pid": 1, "host": socket.gethostname(), "heartbeat": time.time()}
+        _write_claim(queue, "cell-a", 1, lease)
+        assert not lease_is_stale(lease)
+        assert queue.cell_states(["cell-a"])["cell-a"].status == "held"
+        assert queue.claim("cell-a") is None
+
+    def test_dead_same_host_pid_is_stolen_at_once(self, tmp_path):
+        queue = _queue(tmp_path)
+        dead = {"pid": 2**22 + 12345,  # beyond any default pid_max on CI hosts
+                "host": socket.gethostname(), "heartbeat": time.time()}
+        _write_claim(queue, "cell-a", 1, dead)
+        assert lease_is_stale(dead)
+        lease = queue.claim("cell-a")
+        assert lease is not None and lease.token == 2 and lease.stolen
+
+    def test_other_host_is_judged_by_heartbeat_alone(self, tmp_path):
+        fresh = {"pid": 2**22 + 12345, "host": "elsewhere.example",
+                 "heartbeat": time.time()}
+        stale = dict(fresh, heartbeat=time.time() - LEASE_TTL_SECONDS - 1)
+        assert not lease_is_stale(fresh)  # a pid dead *here* means nothing
+        assert lease_is_stale(stale)
+        queue = _queue(tmp_path, lease_ttl=LEASE_TTL_SECONDS)
+        _write_claim(queue, "cell-fresh", 1, fresh)
+        _write_claim(queue, "cell-stale", 1, stale)
+        assert queue.claim("cell-fresh") is None
+        assert queue.claim("cell-stale").stolen
+
+    def test_missing_empty_and_garbled_leases_read_as_stale(self, tmp_path):
+        assert lease_is_stale(None) and lease_is_stale({})
+        queue = _queue(tmp_path)
+        os.makedirs(queue.claim_dir)
+        with open(os.path.join(queue.claim_dir, "cell-a.t1.json"), "w") as handle:
+            handle.write("{not json")
+        assert queue.current_claim("cell-a") == (1, None)
+        assert queue.cell_states(["cell-a"])["cell-a"].status == "interrupted"
+        lease = queue.claim("cell-a")
+        assert lease is not None and lease.token == 2 and lease.stolen
+
+
+def _dead_lease() -> dict:
+    return {"pid": 4242, "host": "elsewhere.example",
+            "heartbeat": time.time() - 10_000.0}
+
+
+class TestCellStates:
+    def test_done_held_interrupted_and_pending(self, tmp_path):
         queue = _queue(tmp_path)
         done = queue.claim("cell-done")
         queue.complete(done, _summary())
         _write_claim(queue, "cell-held", 1, _foreign_live_lease())
-        dead = {"pid": 4242, "host": "elsewhere.example",
-                "heartbeat": time.time() - 10_000.0}
-        _write_claim(queue, "cell-stale", 1, dead)
+        _write_claim(queue, "cell-stale", 3, _dead_lease())
         cells = ["cell-done", "cell-held", "cell-stale", "cell-new"]
-        assert queue.pending_cells(cells) == ["cell-stale", "cell-new"]
+        states = queue.cell_states(cells)
+        assert list(states) == cells
+        assert [state.status for state in states.values()] == \
+            ["done", "held", "interrupted", "pending"]
+        assert [state.attempts for state in states.values()] == [1, 1, 3, 0]
+        assert states["cell-done"].result["summary"] == _summary()
+        assert states["cell-held"].lease["host"] == "elsewhere.example"
+        assert states["cell-new"].lease is None and states["cell-new"].result is None
 
+    def test_attempts_is_the_larger_of_result_and_claim_tokens(self, tmp_path):
+        queue = _queue(tmp_path)
+        _write_claim(queue, "cell-a", 2, _dead_lease())
+        lease = queue.claim("cell-a")
+        queue.complete(lease, _summary())  # drops the claims, keeps token 3
+        assert queue.cell_states(["cell-a"])["cell-a"].attempts == 3
+        # a leftover higher claim on a finished cell: still done
+        _write_claim(queue, "cell-a", 5, _foreign_live_lease())
+        state = queue.cell_states(["cell-a"])["cell-a"]
+        assert (state.status, state.attempts) == ("done", 5)
+
+    def test_the_view_creates_and_deletes_nothing(self, tmp_path):
+        queue = _queue(tmp_path)
+        assert queue.cell_states(["cell-a"])["cell-a"].status == "pending"
+        assert not os.path.exists(queue.directory)
+        # a garbled result is not trusted, but left for the scheduler to drop
+        os.makedirs(queue.result_dir)
+        path = queue._result_path("cell-a")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("{not json")
+        assert queue.cell_states(["cell-a"])["cell-a"].status == "pending"
+        assert os.path.exists(path)
+
+    def test_lists_each_directory_once_per_call(self, tmp_path, monkeypatch):
+        queue = _queue(tmp_path)
+        cells = [f"cell-{index}" for index in range(6)]
+        for cell_id in cells[:3]:
+            queue.complete(queue.claim(cell_id), _summary())
+        for cell_id in cells[3:5]:
+            queue.claim(cell_id)
+        listed = []
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir",
+                            lambda path: (listed.append(path), listdir(path))[1])
+        queue.cell_states(cells)
+        assert sorted(listed) == sorted([queue.claim_dir, queue.result_dir])
+
+
+class TestQueueInventory:
     def test_reset_drops_claims_and_results(self, tmp_path):
         queue = _queue(tmp_path)
         lease = queue.claim("cell-a")
         queue.complete(lease, _summary())
         queue.claim("cell-b")
         queue.reset()
-        assert queue.completed_cell_ids() == []
+        states = queue.cell_states(["cell-a", "cell-b"])
+        assert [state.status for state in states.values()] == ["pending", "pending"]
         assert queue._claim_files("cell-b") == []
 
     def test_queue_dir_lives_next_to_the_manifest(self, tmp_path):
@@ -391,7 +535,10 @@ class TestJoinWorkflow:
         assert result.trustworthy
         with open(result.summary_path, "r", encoding="utf-8") as handle:
             summary = json.load(handle)
-        assert summary["merged_cells"] == 2
+        # the joiner finished before the coordinator resumed: its cells were
+        # done when the run started, so they count as reused, not merged
+        assert summary["reused_cells"] == result.reused_cells == 2
+        assert summary["merged_cells"] == 0
 
     def test_second_joiner_finds_nothing_claimable(self, tmp_path):
         coordinator = _scheduler(tmp_path)
