@@ -37,11 +37,6 @@ def clear_kernel_caches() -> None:
     clear_reduce = getattr(automaton_module, "clear_reduce_cache", None)
     if clear_reduce is not None:
         clear_reduce()
-    from repro.core import engine as engine_module
-
-    clear_gates = getattr(engine_module, "clear_gate_cache", None)
-    if clear_gates is not None:
-        clear_gates()
 
 
 def stacked_basis_ta(num_qubits: int, count: int, seed: int = 7):

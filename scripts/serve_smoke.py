@@ -5,8 +5,9 @@ Exercises the full deployment path, not the in-process shortcuts the unit
 tests use: a real ``python -m repro.cli serve --port 0`` subprocess, its
 printed startup URL, verify requests and an SSE campaign through
 :class:`repro.api.client.ServiceClient`, the ``/metrics`` page (which must
-show the counters moving and the warm gate memo being hit), and a graceful
-SIGINT shutdown with a clean exit status.
+show the counters moving and the warm gate memo being hit, and no store or
+gate-memo counter falling while the campaign runs), and a graceful SIGINT
+shutdown with a clean exit status.
 
 Intended for CI (the ``serve-smoke`` job); it also doubles as a health
 check against an already-running daemon via ``--url``.  Writes a JSON
@@ -25,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -38,6 +39,20 @@ def _metric(text: str, name: str) -> float:
         if line.startswith(name) and (line[len(name)] in (" ", "{")):
             total += float(line.rsplit(" ", 1)[1])
     return total
+
+
+def _runtime_counters(text: str) -> Dict[str, float]:
+    """Every ``repro_store_*_total`` and ``repro_gate_memo_*_total`` sample,
+    keyed by name and labels."""
+    samples = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        key, value = line.rsplit(" ", 1)
+        name = key.split("{", 1)[0]
+        if name.startswith(("repro_store_", "repro_gate_memo_")) and name.endswith("_total"):
+            samples[key] = float(value)
+    return samples
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -84,16 +99,30 @@ def main(argv: Optional[List[str]] = None) -> int:
             assert result.holds, f"verify #{index} did not hold"
         report["verify_seconds"] = round(time.perf_counter() - start, 4)
 
+        # a campaign runs on its own runtime: the daemon's counters are
+        # Prometheus counters and must never fall while it runs
+        before_campaign = _runtime_counters(client.metrics_text())
         records = []
+        mid_campaign = {}
+
+        def on_record(record):
+            if not records:
+                mid_campaign.update(_runtime_counters(client.metrics_text()))
+            records.append(record)
+
         campaign = client.run_campaign(
             CampaignProblem(family="bv", size=4, mutants=args.mutants,
                             report_path=os.path.join(scratch, "report.jsonl")),
-            on_record=records.append,
+            on_record=on_record,
         )
         assert campaign.errors == 0, f"campaign had {campaign.errors} error(s)"
         assert len(records) == campaign.jobs, (len(records), campaign.jobs)
         report["campaign_jobs"] = campaign.jobs
         report["campaign_records_streamed"] = len(records)
+        report["mid_campaign_counters"] = mid_campaign
+        fell = {key: (was, mid_campaign.get(key, 0.0))
+                for key, was in before_campaign.items() if mid_campaign.get(key, 0.0) < was}
+        assert not fell, f"counters fell during the campaign (before, mid-run): {fell}"
 
         after = client.metrics_text()
         moved = {

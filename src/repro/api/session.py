@@ -1,13 +1,13 @@
 """The :class:`Session` runtime: one object owning all run configuration.
 
-Before this layer existed, runtime configuration was scattered — the gate
-store hung off module globals (``configure_gate_store``), cache directories
-came from env vars resolved at call sites, worker counts were CLI flags.  A
-``Session`` gathers all of it behind one façade:
+A ``Session`` gathers run configuration — cache and store directories,
+worker count, fault plan — behind one façade:
 
 * it owns a private :class:`~repro.core.engine.GateRuntime` (gate memo + the
-  optional cross-process automaton store), so nothing a session does can leak
-  into another session, a test, or the process-default runtime;
+  optional cross-process automaton store) for its verify, equivalence,
+  bug-hunt and fuzz problems, so nothing a session does can leak into
+  another session or a test; campaigns and matrix sweeps build their own
+  runtimes on the configured store and never touch the session's;
 * :meth:`Session.run` accepts any :class:`~repro.api.problems.Problem` and
   returns the matching typed :class:`~repro.api.results.Result`;
 * it is a context manager — leaving the ``with`` block resets the runtime, so
@@ -37,6 +37,7 @@ from ..faults import FaultPlan
 from ..simulator import StateVectorSimulator
 from ..states import QuantumState
 from ..ta import all_basis_states_ta
+from ..ta.store import open_store
 from .problems import (
     BugHuntProblem,
     CampaignProblem,
@@ -101,11 +102,9 @@ class Session:
 
     def __init__(self, config: Optional[SessionConfig] = None, **overrides):
         self.config = replace(config or SessionConfig(), **overrides)
-        self._runtime = GateRuntime()
-        if self.config.store_dir:
-            # direct (non-campaign) runs use the store only when it is
-            # explicitly named; campaigns do their own resolution per run
-            self._runtime.configure_store(self.config.store_dir)
+        # direct (non-campaign) runs use the store only when it is
+        # explicitly named; campaigns do their own resolution per run
+        self._runtime = GateRuntime(store=open_store(self.config.store_dir or None))
         self._handlers: Dict[type, Callable[[Problem], Result]] = {
             VerifyProblem: self._run_verify,
             EquivalenceProblem: self._run_equivalence,
@@ -307,7 +306,7 @@ class Session:
             corpus_dir=problem.corpus_dir,
             fault_plan=self.config.fault_plan,
         )
-        summary = Campaign(config).run(runtime=self._runtime, on_record=on_record)
+        summary = Campaign(config).run(on_record=on_record)
         return CampaignResult.from_summary(summary)
 
     # ----------------------------------------------------------- matrices
@@ -327,7 +326,7 @@ class Session:
         versioned schema in its JSONL records.
         """
         scheduler = self.matrix_scheduler(spec, campaign_id=campaign_id)
-        return scheduler.run(resume=resume, progress=progress, runtime=self._runtime)
+        return scheduler.run(resume=resume, progress=progress)
 
     def matrix_scheduler(
         self, spec: MatrixSpec, campaign_id: Optional[str] = None

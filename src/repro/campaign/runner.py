@@ -32,7 +32,7 @@ except ImportError:  # pragma: no cover - very old pythons
 
 from ..benchgen.families import build_family
 from ..circuits.qasm import parse_qasm
-from ..core.engine import AnalysisMode, GateRuntime, configure_gate_store, default_gate_runtime
+from ..core.engine import AnalysisMode, GateRuntime, default_gate_runtime
 from ..core.permutation import PermutationUnsupported
 from ..core.verification import verify_triple
 from ..faults import (
@@ -44,6 +44,7 @@ from ..faults import (
     install_injector,
 )
 from ..ta import serialization
+from ..ta.store import open_store
 from .cache import ResultCache, default_cache_dir, resolve_store_dir
 from .plan import CampaignJob, MutationPlan
 from .report import CampaignReportWriter, summarise_records
@@ -55,19 +56,19 @@ __all__ = [
     "run_campaign",
     "execute_job",
     "initialise_worker",
+    "worker_pool",
 ]
 
 
 def initialise_worker(store_dir, fault_plan: Optional[FaultPlan] = None) -> None:
     """Pool-worker initializer: attach the shared cross-process automaton store.
 
-    Passed as ``initializer`` when campaign pools are created, so every worker
+    Runs once in every worker of a :func:`worker_pool`, so every worker
     process reads and publishes gate-memo entries under the same directory —
     the composition-encoded gates of one worker's circuit prefix become every
-    other worker's store hits.  The
-    store attaches to the worker's process-default :class:`GateRuntime`
-    (each pool worker is its own process, so nothing can leak into the
-    parent's sessions).
+    other worker's store hits.  The store attaches to the worker's own
+    runtime, :func:`~repro.core.engine.default_gate_runtime`, which
+    :func:`execute_job` uses when it is called without one.
 
     ``fault_plan`` (chaos testing, see ``docs/robustness.md``) arms the
     worker's process-global fault injector before any job runs, so injected
@@ -76,7 +77,20 @@ def initialise_worker(store_dir, fault_plan: Optional[FaultPlan] = None) -> None
     """
     if fault_plan is not None:
         install_fault_plan(fault_plan)
-    configure_gate_store(store_dir)
+    default_gate_runtime().store = open_store(store_dir)
+
+
+def worker_pool(processes: int, store_dir: Optional[str],
+                fault_plan: Optional[FaultPlan] = None):
+    """A campaign worker pool, fork-started where the platform allows;
+    each worker runs :func:`initialise_worker` with ``store_dir`` and
+    ``fault_plan``."""
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        context = multiprocessing.get_context()
+    return context.Pool(processes=processes, initializer=initialise_worker,
+                        initargs=(store_dir, fault_plan))
 
 
 def _fault_snapshot(store) -> Dict[str, int]:
@@ -100,8 +114,8 @@ def execute_job(job: CampaignJob, runtime: Optional[GateRuntime] = None) -> Dict
 
     Top-level (not a method) so worker pools can pickle it under every
     multiprocessing start method; pool workers call it without ``runtime``
-    (using their process-default runtime), the in-process path passes the
-    campaign's runtime explicitly.
+    (using the runtime :func:`initialise_worker` set up), the in-process
+    path passes the campaign's runtime explicitly.
     """
     # the worker.cell fault site: 'raise' propagates to the dispatcher (a
     # retryable crash), 'crash-process' is os._exit — a dead pool worker
@@ -305,9 +319,9 @@ class Campaign:
         its own pool sized by ``config.workers``.
 
         ``runtime`` optionally supplies the :class:`GateRuntime` in-process
-        verification should use (a :class:`repro.api.Session` passes its own);
-        when ``None``, the process-default runtime is used, matching the
-        legacy behaviour.
+        verification uses, as is (the matrix scheduler passes one per sweep run);
+        when ``None``, the run builds its own on the campaign's store.  Pool
+        workers always verify on their own runtimes.
 
         ``on_record`` is an optional callable invoked with each stamped
         ``campaign-job`` document right after it is written to the report —
@@ -331,16 +345,9 @@ class Campaign:
             corpus_failures = replay.divergences
         jobs = self.build_jobs()
         cache = self._open_cache()
-        # attach the shared automaton store in the parent too: the serial
-        # (workers == 1) path verifies in-process, and fork-started pools
-        # inherit the configuration even before their initializer runs; the
-        # previous store is restored on exit so a campaign never leaks its
-        # (possibly temporary) store into unrelated later analyses
         store_dir = resolve_store_dir(config.cache_dir, config.store_dir)
         if runtime is None:
-            runtime = default_gate_runtime()
-        previous_store = runtime.store
-        runtime.configure_store(store_dir)
+            runtime = GateRuntime(store=open_store(store_dir))
         # arm the configured fault plan for the scope of this run (the
         # in-process path and fork-started pools see it immediately; every
         # pool initializer re-installs it per worker); whatever injector was
@@ -403,15 +410,10 @@ class Campaign:
                 elif config.workers == 1 or len(misses) <= 1:
                     drain(self._inprocess_results(misses, runtime))
                 else:
-                    context = self._pool_context()
-                    with context.Pool(
-                        processes=min(config.workers, len(misses)),
-                        initializer=initialise_worker,
-                        initargs=(store_dir, config.fault_plan),
-                    ) as own_pool:
+                    with worker_pool(min(config.workers, len(misses)), store_dir,
+                                     config.fault_plan) as own_pool:
                         drain(self._pool_results(own_pool, misses))
         finally:
-            runtime.store = previous_store
             if injector_swapped:
                 install_injector(previous_injector)
         wall = time.perf_counter() - start
@@ -455,7 +457,7 @@ class Campaign:
     POLL_SECONDS = 0.25
 
     def _inprocess_results(self, misses: List[CampaignJob],
-                           runtime: Optional[GateRuntime]) -> Iterator[Dict]:
+                           runtime: GateRuntime) -> Iterator[Dict]:
         """Serial dispatch with the same bounded-retry contract as the pool.
 
         An injected ``worker.cell`` raise is retried up to
@@ -571,13 +573,6 @@ class Campaign:
             "cached": False,
             "faults": None,
         }
-
-    @staticmethod
-    def _pool_context():
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            return multiprocessing.get_context()
 
     @staticmethod
     def _restore_identity(record: Dict, job: CampaignJob) -> Dict:

@@ -56,13 +56,14 @@ from ..benchgen.families import (
     resolve_family,
     validate_family_size,
 )
-from ..core.engine import AnalysisMode
+from ..core.engine import AnalysisMode, GateRuntime
 from ..dist.queue import JobQueue
 from ..faults import FaultPlan
+from ..ta.store import open_store
 from .cache import atomic_write_json, resolve_store_dir
 from .manifest import CampaignManifest, ManifestError, default_manifest_dir
 from .plan import MUTATION_KINDS
-from .runner import Campaign, CampaignConfig, initialise_worker
+from .runner import Campaign, CampaignConfig, worker_pool
 
 __all__ = [
     "MatrixCell",
@@ -514,20 +515,6 @@ class MatrixScheduler:
     def _queue(self) -> JobQueue:
         return JobQueue(self.manifest_dir, self.campaign_id)
 
-    def _make_pool(self, wanted: bool):
-        """The shared worker pool (or ``None`` for in-process execution)."""
-        if self.workers <= 1 or not wanted:
-            return None
-        context = Campaign._pool_context()
-        # all cells share one pool AND one automaton store: workers attach
-        # to it once here, then reuse prefixes across cells
-        return context.Pool(
-            processes=self.workers,
-            initializer=initialise_worker,
-            initargs=(resolve_store_dir(self.cache_dir, self.store_dir),
-                      self.fault_plan),
-        )
-
     def _row_for(self, cell: MatrixCell, summary: Dict, reused: bool) -> Dict:
         row = {
             "cell": cell.cell_id,
@@ -554,7 +541,7 @@ class MatrixScheduler:
         return totals
 
     def _execute_cell(self, cell: MatrixCell, queue: JobQueue, lease, pool,
-                      runtime, say: Callable[[str], None]) -> Dict:
+                      runtime: GateRuntime, say: Callable[[str], None]) -> Dict:
         """Run one claimed cell and publish its completion to the queue.
 
         Returns the cell's accepted summary dict — the winner's, if another
@@ -586,7 +573,7 @@ class MatrixScheduler:
                 summary_dict = winner["summary"]
         return summary_dict
 
-    def _drain(self, cells: List[MatrixCell], queue: JobQueue, runtime,
+    def _drain(self, cells: List[MatrixCell], queue: JobQueue,
                say: Callable[[str], None], wait: bool) -> Tuple[Dict, Dict]:
         """The claim loop of both roles: claim and execute ``cells``
         cheapest-first until none is left.
@@ -597,15 +584,22 @@ class MatrixScheduler:
         pass makes no progress the coordinator (``wait``) sleeps
         :data:`FABRIC_POLL_SECONDS` and tries again; a joiner returns.
 
+        All cells share one pool and one automaton store.  Cells verified
+        in-process share one runtime, so its memo carries across cells.
+
         Returns ``(executed, merged)``: the summaries of the cells this
         worker ran and of those another worker completed, by cell id.
         """
         os.makedirs(os.path.join(self.report_dir, self.campaign_id), exist_ok=True)
         executed: Dict[str, Dict] = {}
         merged: Dict[str, Dict] = {}
+        if not cells:
+            return executed, merged
         remaining = sorted(cells, key=estimate_cell_cost)
         waiting_announced = False
-        pool = self._make_pool(wanted=bool(cells))
+        store_dir = resolve_store_dir(self.cache_dir, self.store_dir)
+        runtime = GateRuntime(store=open_store(store_dir))
+        pool = worker_pool(self.workers, store_dir, self.fault_plan) if self.workers > 1 else None
         try:
             while remaining:
                 held: List[MatrixCell] = []
@@ -669,7 +663,6 @@ class MatrixScheduler:
         self,
         resume: bool = False,
         progress: Optional[Callable[[str], None]] = None,
-        runtime=None,
     ) -> MatrixRunResult:
         """Run (or resume) the sweep; returns per-cell rows and totals.
 
@@ -678,9 +671,8 @@ class MatrixScheduler:
         in the queue, so the next ``run(resume=True)`` re-claims exactly that
         cell (attempt 2) and skips every cell with a result.
 
-        ``runtime`` optionally names the :class:`~repro.core.engine.GateRuntime`
-        used for in-process verification (see :meth:`Campaign.run`); pool
-        workers always use their own per-process runtimes.
+        The run builds its own :class:`~repro.core.engine.GateRuntime` for
+        the cells it verifies in-process; pool workers verify on theirs.
 
         The run is also the campaign's fabric *coordinator*: every cell is
         claimed through the lease queue before executing, completions
@@ -704,7 +696,7 @@ class MatrixScheduler:
             if named:
                 say(f"resume: {label}: {', '.join(named)}")
 
-        executed, merged = self._drain(todo, queue, runtime, say, wait=True)
+        executed, merged = self._drain(todo, queue, say, wait=True)
         summaries.update(executed)
         summaries.update(merged)
         rows = [self._row_for(cell, summaries.get(cell.cell_id, {}),
@@ -741,7 +733,6 @@ class MatrixScheduler:
     def run_join(
         self,
         progress: Optional[Callable[[str], None]] = None,
-        runtime=None,
     ) -> JoinRunResult:
         """Attach to an existing campaign as a fabric worker and drain it.
 
@@ -760,7 +751,7 @@ class MatrixScheduler:
         manifest = self._open_manifest(resume=True)
         queue = self._queue()
         _states, _done, todo = self._queue_view(queue)
-        executed, _merged = self._drain(todo, queue, runtime, say, wait=False)
+        executed, _merged = self._drain(todo, queue, say, wait=False)
         by_id = {cell.cell_id: cell for cell in todo}
         rows = [self._row_for(by_id[cell_id], summary, reused=False)
                 for cell_id, summary in executed.items()]

@@ -847,8 +847,7 @@ def _command_campaign_matrix(args) -> int:
             for family, mode in scheduler.spec.skipped_combinations():
                 print(f"warning:   skipping {family} x {mode} (unsupported mode)",
                       file=sys.stderr)
-            result = scheduler.run(resume=resume, progress=progress,
-                                   runtime=session.runtime)
+            result = scheduler.run(resume=resume, progress=progress)
     except ManifestError as error:
         return _fail(args, "manifest-error", str(error))
     except ValueError as error:
@@ -908,7 +907,7 @@ def _command_campaign_join(args) -> int:
             progress(f"join:      {scheduler.campaign_id} as worker "
                      f"{os.getpid()} ({args.workers} worker(s))")
             progress(f"manifest:  {scheduler.manifest_dir}")
-            result = scheduler.run_join(progress=progress, runtime=session.runtime)
+            result = scheduler.run_join(progress=progress)
     except ManifestError as error:
         return _fail(args, "manifest-error", str(error))
     except ValueError as error:

@@ -7,8 +7,6 @@ from .engine import (
     EngineResult,
     EngineStatistics,
     GateRuntime,
-    default_gate_runtime,
-    reset_gate_runtime,
     run_circuit,
 )
 from .equivalence import (
@@ -51,8 +49,6 @@ __all__ = [
     "EngineResult",
     "EngineStatistics",
     "GateRuntime",
-    "default_gate_runtime",
-    "reset_gate_runtime",
     "run_circuit",
     "apply_composition_gate",
     "apply_permutation_gate",

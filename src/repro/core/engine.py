@@ -39,12 +39,6 @@ __all__ = [
     "CircuitEngine",
     "run_circuit",
     "default_gate_runtime",
-    "reset_gate_runtime",
-    "gate_cache_stats",
-    "clear_gate_cache",
-    "configure_gate_store",
-    "active_gate_store",
-    "set_gate_store",
 ]
 
 #: safety valve mirroring the intern tables: stop memoising beyond this size.
@@ -52,7 +46,7 @@ _MAX_GATE_CACHE = 16384
 
 
 class GateRuntime:
-    """Mutable per-session runtime of the gate-application pipeline.
+    """Mutable runtime of the gate-application pipeline.
 
     Owns the two cache tiers a gate application consults:
 
@@ -67,37 +61,22 @@ class GateRuntime:
       content-addressed on-disk tier shared by every process pointed at the
       same directory, keyed by the renaming-invariant compact-form digest so
       campaign pool workers and entirely separate runs agree on the keys.
-      It holds composition-encoded gate results only.
+      It holds composition-encoded gate results only.  Attach one with
+      ``GateRuntime(store=open_store(directory))``
+      (:func:`repro.ta.store.open_store`).
 
-    Sessions (:class:`repro.api.Session`) each own a private instance, so
-    attaching a store or warming the memo in one session can never leak into
-    another; the legacy free functions (:func:`run_circuit` with no runtime,
-    :func:`configure_gate_store`, …) operate on one process-wide default
-    instance (:func:`default_gate_runtime`).
+    A runtime belongs to whoever creates it: a :class:`repro.api.Session`,
+    a campaign run, a matrix sweep, a fuzz run, or one engine call made
+    without a runtime.  Nothing swaps another owner's store.
     """
 
-    __slots__ = ("memo", "memo_hits", "memo_misses", "store", "max_memo_entries")
+    __slots__ = ("memo", "memo_hits", "memo_misses", "store")
 
-    def __init__(
-        self,
-        store: Optional["ta_store.AutomatonStore"] = None,
-        max_memo_entries: int = _MAX_GATE_CACHE,
-    ):
+    def __init__(self, store: Optional["ta_store.AutomatonStore"] = None):
         self.memo: Dict[tuple, Tuple[TreeAutomaton, bool]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
         self.store = store
-        self.max_memo_entries = max_memo_entries
-
-    def configure_store(self, directory: Optional[str]) -> Optional["ta_store.AutomatonStore"]:
-        """Attach the cross-process store at ``directory`` (detach with ``None``).
-
-        An unusable directory degrades to "no store" — the store is an
-        optimisation and must never break a verification run (see
-        :func:`repro.ta.store.open_store`).
-        """
-        self.store = ta_store.open_store(directory)
-        return self.store
 
     def memo_stats(self) -> Dict[str, int]:
         """Hit/miss/size counters of the in-process gate-application memo."""
@@ -126,71 +105,19 @@ class GateRuntime:
         self.store = None
 
 
-#: the process-wide runtime behind the legacy free-function API; sessions use
-#: their own private :class:`GateRuntime` and never touch this one
-_DEFAULT_RUNTIME = GateRuntime()
+#: the runtime of a campaign pool worker process (see
+#: :func:`repro.campaign.runner.initialise_worker`)
+_WORKER_RUNTIME = GateRuntime()
 
 
 def default_gate_runtime() -> GateRuntime:
-    """The process-wide runtime used when no explicit one is passed."""
-    return _DEFAULT_RUNTIME
+    """This process's runtime as a campaign pool worker.
 
-
-def reset_gate_runtime() -> None:
-    """Reset the default runtime: clear the memo and detach any store.
-
-    Test suites call this (from an autouse fixture) so that test ordering can
-    never change memo or store hit counters.
+    :func:`~repro.campaign.runner.initialise_worker` attaches the campaign's
+    store to it, and :func:`~repro.campaign.runner.execute_job` called
+    without a runtime verifies on it.  Nothing else uses it.
     """
-    _DEFAULT_RUNTIME.reset()
-
-
-# ------------------------------------------------------- deprecated shims
-# The functions below predate GateRuntime and operate on the process-wide
-# default instance.  They are kept for back-compatibility (campaign pool
-# workers also use them to configure their per-process runtime); new code
-# should hold a GateRuntime — usually through repro.api.Session — instead.
-
-
-def gate_cache_stats() -> Dict[str, int]:
-    """Deprecated: counters of the *default* runtime's gate memo.
-
-    Prefer ``session.runtime.memo_stats()``.
-    """
-    return _DEFAULT_RUNTIME.memo_stats()
-
-
-def clear_gate_cache() -> None:
-    """Deprecated: drop the *default* runtime's gate memo.
-
-    Prefer ``session.runtime.clear_memo()`` (or :func:`reset_gate_runtime`).
-    """
-    _DEFAULT_RUNTIME.clear_memo()
-
-
-def configure_gate_store(directory: Optional[str]) -> Optional["ta_store.AutomatonStore"]:
-    """Deprecated: attach (or detach, with ``None``) the *default* runtime's store.
-
-    Prefer ``Session(store_dir=...)`` / ``session.runtime.configure_store``.
-    """
-    return _DEFAULT_RUNTIME.configure_store(directory)
-
-
-def active_gate_store() -> Optional["ta_store.AutomatonStore"]:
-    """Deprecated: the *default* runtime's store (``None`` when detached)."""
-    return _DEFAULT_RUNTIME.store
-
-
-def set_gate_store(
-    store: Optional["ta_store.AutomatonStore"],
-) -> Optional["ta_store.AutomatonStore"]:
-    """Deprecated: install an already-open store on the *default* runtime.
-
-    Lets a caller that temporarily attached a store restore whatever was
-    active before, without re-opening directories.
-    """
-    _DEFAULT_RUNTIME.store = store
-    return store
+    return _WORKER_RUNTIME
 
 
 def _gate_signature(gate: Gate) -> str:
@@ -367,9 +294,8 @@ class CircuitEngine:
     """Applies circuits to tree automata using the paper's gate transformers.
 
     ``runtime`` supplies the gate memo and optional cross-process store; when
-    omitted, the process-wide default runtime is used (the pre-Session
-    behaviour).  Sessions pass their own private runtime so configuration and
-    cache warmth never leak between sessions.
+    omitted, the engine builds a private :class:`GateRuntime` with no store,
+    so nothing it computes is shared with another caller.
     """
 
     def __init__(
@@ -382,7 +308,7 @@ class CircuitEngine:
             raise ValueError(f"unknown analysis mode {mode!r}; expected one of {AnalysisMode.ALL}")
         self.mode = mode
         self.reduce_after_each_gate = reduce_after_each_gate
-        self.runtime = runtime if runtime is not None else _DEFAULT_RUNTIME
+        self.runtime = runtime if runtime is not None else GateRuntime()
 
     # ----------------------------------------------------------------- gates
     def apply_gate(
@@ -440,7 +366,7 @@ class CircuitEngine:
                     result._reduced = True  # noqa: SLF001 - producer reduced it already
                 if statistics is not None:
                     statistics.store_hits += 1
-                if len(runtime.memo) < runtime.max_memo_entries:
+                if len(runtime.memo) < _MAX_GATE_CACHE:
                     runtime.memo[key] = (result, False)
                 return result, False
             if statistics is not None:
@@ -452,7 +378,7 @@ class CircuitEngine:
             result = result.reduce()
             if statistics is not None:
                 statistics.record_phase("reduce", time.perf_counter() - start)
-        if len(runtime.memo) < runtime.max_memo_entries:
+        if len(runtime.memo) < _MAX_GATE_CACHE:
             runtime.memo[key] = (result, used_permutation)
         if store is not None and store_key is not None:
             start = time.perf_counter()
@@ -532,7 +458,8 @@ def run_circuit(
     reduce_after_each_gate: bool = True,
     runtime: Optional[GateRuntime] = None,
 ) -> EngineResult:
-    """Convenience wrapper: run ``circuit`` on ``precondition`` with a fresh engine."""
+    """Convenience wrapper: run ``circuit`` on ``precondition`` with a fresh
+    engine (on a private runtime when ``runtime`` is ``None``)."""
     engine = CircuitEngine(
         mode=mode, reduce_after_each_gate=reduce_after_each_gate, runtime=runtime
     )

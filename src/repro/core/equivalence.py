@@ -54,9 +54,15 @@ def check_circuit_equivalence(
     mode: str = AnalysisMode.HYBRID,
     runtime: Optional[GateRuntime] = None,
 ) -> NonEquivalenceResult:
-    """Compare the output-state sets of two circuits for the given input TA."""
+    """Compare the output-state sets of two circuits for the given input TA.
+
+    Both circuits run on ``runtime``, or on one private runtime built for
+    this call when it is ``None``, so the second run reuses the first's memo.
+    """
     if first.num_qubits != second.num_qubits:
         raise ValueError("circuits must have the same number of qubits")
+    if runtime is None:
+        runtime = GateRuntime()
     start = time.perf_counter()
     first_result = run_circuit(first, inputs, mode=mode, runtime=runtime)
     second_result = run_circuit(second, inputs, mode=mode, runtime=runtime)
@@ -120,9 +126,14 @@ class IncrementalBugHunter:
         candidate: Circuit,
         initial_basis: Optional[Sequence[int]] = None,
     ) -> BugHuntResult:
-        """Search for an input set over which the two circuits' outputs differ."""
+        """Search for an input set over which the two circuits' outputs differ.
+
+        Every iteration runs on the hunter's runtime, or on one private
+        runtime built for this hunt when the hunter has none.
+        """
         if reference.num_qubits != candidate.num_qubits:
             raise ValueError("circuits must have the same number of qubits")
+        runtime = self.runtime if self.runtime is not None else GateRuntime()
         num_qubits = reference.num_qubits
         rng = random.Random(self.seed)
         if initial_basis is None:
@@ -137,7 +148,7 @@ class IncrementalBugHunter:
             iteration_start = time.perf_counter()
             inputs = basis_product_ta(num_qubits, allowed)
             outcome = check_circuit_equivalence(
-                reference, candidate, inputs, mode=self.mode, runtime=self.runtime
+                reference, candidate, inputs, mode=self.mode, runtime=runtime
             )
             per_iteration.append(time.perf_counter() - iteration_start)
             elapsed = time.perf_counter() - start

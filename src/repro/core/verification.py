@@ -62,7 +62,7 @@ def verify_triple(
         mode: engine setting (``hybrid`` or ``composition``).
         inclusion_only: check ``outputs ⊆ Q`` instead of ``outputs = Q``.
         reduce_after_each_gate: apply the lightweight reduction after each gate.
-        runtime: gate memo/store to use (default: the process-wide runtime).
+        runtime: gate memo/store to use (default: a private runtime with no store).
     """
     engine_result = run_circuit(
         circuit, precondition, mode=mode,

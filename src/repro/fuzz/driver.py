@@ -252,8 +252,8 @@ def run_fuzz(
     """One budgeted fuzz run; deterministic case stream under ``settings.seed``."""
     outcome = FuzzOutcome()
     if runtime is None:
-        # a private runtime: fuzzing must neither poison the process-wide
-        # gate memo with divergent results nor be masked by warm entries
+        # one private runtime for the run: fuzzing must neither poison a
+        # caller's gate memo with divergent results nor be masked by warm entries
         runtime = GateRuntime()
     corpus = None if settings.corpus_dir is None else Corpus(settings.corpus_dir)
     streams: List[Tuple[str, Iterator]] = []

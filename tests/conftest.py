@@ -5,22 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import Circuit, Gate
-from repro.core.engine import reset_gate_runtime
+from repro.core.engine import default_gate_runtime
 from repro.simulator import StateVectorSimulator
 from repro.states import QuantumState
 
 
 @pytest.fixture(autouse=True)
 def _pristine_gate_runtime():
-    """Reset the process-default gate runtime before every test.
+    """Reset this process's campaign pool-worker runtime before every test.
 
-    The default runtime (gate-application memo + optionally attached on-disk
-    store) is process-wide state behind the legacy free-function API; without
-    this reset, test ordering could change memo/store hit counters and make
-    cache-behaviour assertions flaky.  Sessions are unaffected — they own
-    private runtimes.
+    ``default_gate_runtime()`` is what ``execute_job`` verifies on when it is
+    called without a runtime, and what ``initialise_worker`` attaches a store
+    to; a test that does either in-process would otherwise leave its memo or
+    store to the next.  Every other runtime is private to its creator.
     """
-    reset_gate_runtime()
+    default_gate_runtime().reset()
     yield
 
 

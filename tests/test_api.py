@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from repro.api import (
 )
 from repro.api.results import CampaignResult, EquivalenceResult, VerifyResult
 from repro.circuits import Circuit, save_qasm_file
-from repro.core.engine import EngineStatistics
+from repro.core.engine import EngineStatistics, default_gate_runtime
 from repro.ta import basis_state_ta
 
 
@@ -232,13 +233,11 @@ class TestSessionIsolation:
     does may touch module-level runtime state."""
 
     def test_session_store_never_leaks_into_default_runtime(self, tmp_path):
-        from repro.core.engine import active_gate_store, gate_cache_stats
-
         with Session(store_dir=str(tmp_path / "store")) as session:
             session.run(VerifyProblem(circuit=CircuitSource.from_family("ghz", 3)))
             assert session.runtime.store is not None
-            assert active_gate_store() is None  # default runtime untouched
-            assert gate_cache_stats()["size"] == 0  # default memo untouched
+            assert default_gate_runtime().store is None  # default runtime untouched
+            assert default_gate_runtime().memo_stats()["size"] == 0  # default memo untouched
             assert session.runtime.memo_stats()["size"] > 0
 
     def test_two_sessions_have_independent_runtimes(self):
@@ -258,30 +257,68 @@ class TestSessionIsolation:
         assert session.runtime.store is None
         assert session.runtime.memo_stats() == {"size": 0, "hits": 0, "misses": 0}
 
-    def test_campaign_restores_session_store(self, tmp_path):
-        """A campaign temporarily resolves its own store and must restore
-        whatever the session had before."""
+    @pytest.mark.parametrize("store_dir", [None, "session-store"],
+                             ids=["store-less", "named-store"])
+    def test_campaign_never_swaps_the_session_store(self, tmp_path, store_dir):
+        """A campaign runs on its own runtime and store; mid-run, the
+        session still holds the store it was built with."""
+        if store_dir is not None:
+            store_dir = str(tmp_path / store_dir)
+        with Session(cache_dir=str(tmp_path / "cache"), store_dir=store_dir) as session:
+            built_with = session.runtime.store
+            assert (built_with is None) == (store_dir is None)
+            seen = []
+            result = session.run_campaign(
+                CampaignProblem(family="grover", mutants=2,
+                                report_path=str(tmp_path / "r.jsonl")),
+                on_record=lambda _record: seen.append(session.runtime.store),
+            )
+            assert result.store_publishes > 0  # the campaign had a store
+            assert len(seen) == result.jobs
+            assert all(store is built_with for store in seen)
+            assert session.runtime.store is built_with
+
+    def test_overlapping_campaigns_leave_a_storeless_session_storeless(self, tmp_path):
+        """B starts after A's first record and finishes after A returns: any
+        save/restore of the session's store would restore out of order."""
+        a_recorded, b_recorded, a_returned = (threading.Event() for _ in range(3))
+        errors = []
+
+        def wait(event, what):
+            if not event.wait(timeout=60):
+                raise TimeoutError(f"timed out waiting for {what}")
+
+        def on_a_record(_record):
+            a_recorded.set()
+            wait(b_recorded, "campaign B's first record")
+
+        def on_b_record(_record):
+            b_recorded.set()
+            wait(a_returned, "campaign A to return")
+
+        def run(family, on_record, returned):
+            try:
+                session.run_campaign(
+                    CampaignProblem(family=family, size=3, mutants=2,
+                                    report_path=str(tmp_path / f"{family}.jsonl")),
+                    on_record=on_record,
+                )
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+            finally:
+                returned.set()
+
         with Session(cache_dir=str(tmp_path / "cache")) as session:
+            first = threading.Thread(target=run, args=("grover", on_a_record, a_returned))
+            second = threading.Thread(target=run, args=("bv", on_b_record, threading.Event()))
+            first.start()
+            wait(a_recorded, "campaign A's first record")
+            second.start()
+            first.join(timeout=120)
+            second.join(timeout=120)
+            assert not first.is_alive() and not second.is_alive()
+            assert not errors
             assert session.runtime.store is None
-            session.run(CampaignProblem(
-                family="grover", mutants=2, report_path=str(tmp_path / "r.jsonl")
-            ))
-            assert session.runtime.store is None  # restored after the run
-
-    def test_reset_gate_runtime_clears_memo_and_store(self, tmp_path):
-        from repro.core import engine
-
-        engine.configure_gate_store(str(tmp_path / "store"))
-        from repro.core.verification import verify_triple
-        from repro.benchgen import build_family
-
-        benchmark = build_family("ghz", 3)
-        verify_triple(benchmark.precondition, benchmark.circuit, benchmark.postcondition)
-        assert engine.active_gate_store() is not None
-        assert engine.gate_cache_stats()["size"] > 0
-        engine.reset_gate_runtime()
-        assert engine.active_gate_store() is None
-        assert engine.gate_cache_stats() == {"size": 0, "hits": 0, "misses": 0}
 
 
 class TestResultSerialization:

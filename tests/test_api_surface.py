@@ -81,6 +81,19 @@ EXPECTED_DOCUMENT_KINDS = [
 ]
 
 
+#: ``repro.core.engine`` exports; ``perfbench/tracer.py`` imports
+#: ``default_gate_runtime`` from there to read the pool workers' memo
+EXPECTED_ENGINE_ALL = [
+    "AnalysisMode",
+    "CircuitEngine",
+    "EngineResult",
+    "EngineStatistics",
+    "GateRuntime",
+    "default_gate_runtime",
+    "run_circuit",
+]
+
+
 class TestSurfaceSnapshot:
     def test_api_version_is_pinned(self):
         assert api.API_VERSION == EXPECTED_API_VERSION
@@ -150,3 +163,26 @@ class TestRequiredFieldContracts:
         for cls in (VerifyResult, EquivalenceResult, BugHuntResult,
                     SimulateResult, CampaignResult, FuzzResult, ErrorResult):
             schema.validate_document(cls().to_dict(), kind=cls.KIND)
+
+
+class TestEngineHooks:
+    """The engine and campaign names the traced benchmark imports and wraps."""
+
+    def test_engine_all_is_pinned(self):
+        from repro.core import engine
+
+        assert sorted(engine.__all__) == EXPECTED_ENGINE_ALL
+
+    def test_worker_runtime_imports_from_the_engine(self):
+        from repro.core.engine import GateRuntime, default_gate_runtime
+
+        assert isinstance(default_gate_runtime(), GateRuntime)
+
+    def test_execute_job_takes_a_job_and_an_optional_runtime(self):
+        import inspect
+
+        from repro.campaign.runner import execute_job
+
+        parameters = inspect.signature(execute_job).parameters
+        assert list(parameters) == ["job", "runtime"]
+        assert parameters["runtime"].default is None

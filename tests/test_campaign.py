@@ -271,13 +271,11 @@ class TestCampaignStore:
         assert resolve_store_dir(None, None) == default_store_dir()
 
     def test_second_run_reuses_the_store_across_simulated_processes(self, tmp_path):
-        from repro.core.engine import clear_gate_cache
         from repro.ta.automaton import clear_intern_tables, clear_reduce_cache
 
         store_dir = str(tmp_path / "store")
-        # start from cold per-process caches: earlier tests sweep the same
-        # family, and process-memo hits would bypass (and under-fill) the store
-        clear_gate_cache()
+        # start from cold per-process caches (each run also starts from a
+        # cold private gate memo): earlier tests sweep the same family
         clear_reduce_cache()
         clear_intern_tables()
         # result cache off so every job actually verifies; store on explicitly
@@ -286,7 +284,6 @@ class TestCampaignStore:
         assert first.store_hits + first.store_misses > 0
 
         # simulate fresh worker processes: drop every per-process cache
-        clear_gate_cache()
         clear_reduce_cache()
         clear_intern_tables()
         warm = run_campaign(_config(tmp_path, cache_dir="", store_dir=store_dir,
@@ -299,10 +296,7 @@ class TestCampaignStore:
         )
 
     def test_store_counters_flow_into_jsonl_records(self, tmp_path):
-        from repro.core.engine import clear_gate_cache
-
         store_dir = str(tmp_path / "store")
-        clear_gate_cache()  # a warm process memo would leave the store untouched
         run_campaign(_config(tmp_path, cache_dir="", store_dir=store_dir))
         records = read_report(str(tmp_path / "report.jsonl"))
         totals = {"store_hits": 0, "store_misses": 0, "store_publishes": 0}
@@ -313,12 +307,30 @@ class TestCampaignStore:
                 totals[key] += statistics[key]
         assert totals["store_publishes"] > 0
 
-    def test_campaign_restores_the_previous_store(self, tmp_path):
-        from repro.core.engine import active_gate_store
+    def test_campaign_runs_on_its_own_runtime(self, tmp_path):
+        from repro.core.engine import default_gate_runtime
 
-        assert active_gate_store() is None
-        run_campaign(_config(tmp_path, cache_dir="", store_dir=str(tmp_path / "store")))
-        assert active_gate_store() is None
+        worker_runtime = default_gate_runtime()
+        seen = []
+        config = _config(tmp_path, cache_dir="", store_dir=str(tmp_path / "store"))
+        summary = Campaign(config).run(on_record=lambda _record: seen.append(
+            (worker_runtime.store, worker_runtime.memo_stats()["size"])))
+        assert summary.store_publishes > 0  # the run had a store of its own
+        assert seen == [(None, 0)] * summary.jobs
+        assert worker_runtime.store is None
+
+    def test_a_passed_runtime_is_used_as_is(self, tmp_path):
+        from repro.core.engine import GateRuntime
+
+        runtime = GateRuntime()
+        seen = []
+        config = _config(tmp_path, cache_dir="", store_dir=str(tmp_path / "store"))
+        summary = Campaign(config).run(
+            runtime=runtime, on_record=lambda _record: seen.append(runtime.store))
+        assert seen == [None] * summary.jobs
+        assert runtime.store is None
+        assert runtime.memo_stats()["size"] > 0
+        assert summary.store_hits == summary.store_misses == summary.store_publishes == 0
 
     def test_disabled_store_records_nothing(self, tmp_path):
         summary = run_campaign(_config(tmp_path, cache_dir="", store_dir=""))

@@ -278,6 +278,32 @@ def _scheduler(tmp_path, spec, **overrides) -> MatrixScheduler:
 
 
 class TestMatrixScheduler:
+    def test_in_process_cells_share_one_runtime_per_run(self, tmp_path, monkeypatch):
+        import repro.campaign.runner as runner_module
+        from repro.core.engine import default_gate_runtime
+
+        real_execute = runner_module.execute_job
+        runtimes = []
+
+        def recording(job, runtime=None):
+            runtimes.append(runtime)
+            return real_execute(job, runtime)
+
+        monkeypatch.setattr(runner_module, "execute_job", recording)
+        spec = _spec(sizes={"mctoffoli": "2-3", "ghz": [3]})
+        scheduler = _scheduler(tmp_path, spec, store_dir=str(tmp_path / "store"))
+        per_run = []
+        for _ in range(2):
+            runtimes.clear()
+            scheduler.run()
+            assert len(runtimes) == 3 * (spec.mutants + 1)
+            assert all(runtime is runtimes[0] for runtime in runtimes)
+            per_run.append(runtimes[0])
+        first, second = per_run
+        assert first is not second
+        assert first is not default_gate_runtime()
+        assert first.store is not None  # the run's own runtime, on the sweep's store
+
     def test_end_to_end_sweep(self, tmp_path):
         spec = _spec(sizes={"mctoffoli": "2-3", "ghz": [3]})
         result = _scheduler(tmp_path, spec).run()

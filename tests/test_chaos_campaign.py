@@ -25,7 +25,6 @@ from repro.campaign import (
     read_report,
     run_campaign,
 )
-from repro.core.engine import clear_gate_cache, set_gate_store
 from repro.dist import CLAIM_DIR, JobQueue, queue_dir_for
 from repro.faults import FaultPlan, FaultSpec, install_fault_plan, install_injector
 from repro.service import ServiceConfig, VerificationService
@@ -37,12 +36,10 @@ _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 @pytest.fixture(autouse=True)
 def _clean_process():
-    """No armed plan, no configured store, no warm memo leaks across tests."""
+    """No armed plan leaks across tests."""
     install_injector(None)
     yield
     install_injector(None)
-    set_gate_store(None)
-    clear_gate_cache()
 
 
 def _config(tmp_path, name: str, **overrides) -> CampaignConfig:
@@ -75,7 +72,6 @@ class TestStoreChaos:
             FaultSpec(site="store.put", kind="corrupt-payload", rate=0.3),
             FaultSpec(site="store.get", kind="raise", every=5, limit=2),
         ))
-        clear_gate_cache()  # a warm memo would never reach the store tier
         chaotic = _config(tmp_path, "chaos", fault_plan=plan)
         chaos_summary = run_campaign(chaotic)
 
@@ -96,7 +92,6 @@ class TestStoreChaos:
         run_campaign(first)
         # second run over the same store (fresh memo) must trip over the
         # corrupt entries, quarantine them, recompute, and agree anyway
-        clear_gate_cache()
         second = _config(tmp_path, "second", store_dir=first.store_dir)
         summary = run_campaign(second)
         assert _verdicts(second) == _verdicts(first)

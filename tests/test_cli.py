@@ -538,9 +538,6 @@ class TestCampaignLsCommand:
 
 class TestProfileFlag:
     def test_verify_profile_prints_phase_breakdown(self, capsys):
-        from repro.core.engine import clear_gate_cache
-
-        clear_gate_cache()  # warm memo hits would leave nothing to time
         assert main(["verify", "--family", "ghz", "--size", "3", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "phases:" in out
@@ -865,9 +862,6 @@ class TestCacheCommand:
     def test_stats_json_after_a_store_backed_campaign(self, tmp_path, capsys):
         import json
 
-        from repro.core.engine import clear_gate_cache
-
-        clear_gate_cache()  # a warm process memo would publish nothing
         store_dir = str(tmp_path / "store")
         assert main(["campaign", "--family", "grover", "--mutants", "2", "--no-cache",
                      "--store-dir", store_dir,

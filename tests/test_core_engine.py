@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit, Gate, random_circuit
-from repro.core.engine import AnalysisMode, CircuitEngine, run_circuit
+from repro.core.engine import AnalysisMode, CircuitEngine, GateRuntime, run_circuit
 from repro.core.formulas import apply_gate_to_state
 from repro.simulator import StateVectorSimulator
 from repro.states import QuantumState
@@ -185,9 +185,7 @@ class TestPhaseTimings:
     """PR-3: the engine records per-phase wall-clock, not just per-gate."""
 
     def test_hybrid_run_records_phases(self):
-        from repro.core.engine import clear_gate_cache
-
-        clear_gate_cache()  # a memo hit would skip the phases entirely
+        # runtime-less: a cold private memo, so no memo hit skips the phases
         circuit = Circuit(2).add("h", 0).add("cx", 0, 1).add("t", 1)
         result = run_circuit(circuit, basis_state_ta(2, "00"))
         phases = result.statistics.phase_seconds
@@ -199,9 +197,6 @@ class TestPhaseTimings:
         assert "phase_seconds" in result.statistics.to_dict()
 
     def test_phase_total_is_bounded_by_analysis_time(self):
-        from repro.core.engine import clear_gate_cache
-
-        clear_gate_cache()
         circuit = Circuit(3).add("h", 0).add("cx", 0, 1).add("ccx", 0, 1, 2)
         result = run_circuit(circuit, basis_state_ta(3, "000"))
         statistics = result.statistics
@@ -212,33 +207,27 @@ class TestGateApplicationCache:
     """PR-3: repeated (automaton, gate) pairs are memoised per process."""
 
     def test_identical_applications_hit_the_cache(self):
-        from repro.core.engine import clear_gate_cache, gate_cache_stats
-
-        clear_gate_cache()
         engine = CircuitEngine(mode=AnalysisMode.HYBRID)
         automaton = basis_state_ta(2, "00")
         gate = Gate("h", (0,))
         first = engine.apply_gate(automaton, gate)
-        assert gate_cache_stats()["hits"] == 0
+        assert engine.runtime.memo_stats()["hits"] == 0
         second = engine.apply_gate(basis_state_ta(2, "00"), gate)
-        assert gate_cache_stats()["hits"] == 1
+        assert engine.runtime.memo_stats()["hits"] == 1
         assert second is first  # the memo returns the shared reduced instance
 
     def test_cache_respects_engine_settings(self):
-        from repro.core.engine import clear_gate_cache, gate_cache_stats
-
-        clear_gate_cache()
+        runtime = GateRuntime()  # one memo for both engines
         automaton = basis_state_ta(2, "00")
         gate = Gate("h", (0,))
-        hybrid = CircuitEngine(mode=AnalysisMode.HYBRID).apply_gate(automaton, gate)
-        composition = CircuitEngine(mode=AnalysisMode.COMPOSITION).apply_gate(automaton, gate)
-        assert gate_cache_stats()["hits"] == 0  # different mode -> different key
+        hybrid = CircuitEngine(mode=AnalysisMode.HYBRID, runtime=runtime).apply_gate(
+            automaton, gate)
+        composition = CircuitEngine(mode=AnalysisMode.COMPOSITION, runtime=runtime).apply_gate(
+            automaton, gate)
+        assert runtime.memo_stats()["hits"] == 0  # different mode -> different key
         assert check_equivalence(hybrid, composition).equivalent
 
     def test_cached_result_is_correct_across_inputs(self):
-        from repro.core.engine import clear_gate_cache
-
-        clear_gate_cache()
         engine = CircuitEngine(mode=AnalysisMode.HYBRID)
         gate = Gate("h", (1,))
         for bits in ("00", "01", "10", "11", "00"):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.benchgen import build_family
 from repro.circuits import Circuit, inject_random_gate, random_circuit
-from repro.core import IncrementalBugHunter, check_circuit_equivalence
-from repro.core.engine import AnalysisMode
+from repro.core import IncrementalBugHunter, check_circuit_equivalence, verify_triple
+from repro.core import equivalence as equivalence_module
+from repro.core.engine import AnalysisMode, GateRuntime, default_gate_runtime
 from repro.simulator import StateVectorSimulator
 from repro.states import QuantumState
 from repro.ta import all_basis_states_ta, basis_state_ta
@@ -122,3 +124,47 @@ class TestIncrementalBugHunter:
         buggy = Circuit(2).add("h", 0).add("cx", 0, 1).add("s", 1)
         result = IncrementalBugHunter(mode=AnalysisMode.COMPOSITION, seed=0).hunt(reference, buggy)
         assert result.bug_found
+
+
+class TestRuntimeOwnership:
+    """Runtime-less calls build one private runtime per comparison or hunt
+    and never fall back to the campaign pool workers' runtime."""
+
+    @staticmethod
+    def _spy_on_run_circuit(monkeypatch):
+        runtimes = []
+        real = equivalence_module.run_circuit
+
+        def spy(*args, **kwargs):
+            runtimes.append(kwargs.get("runtime"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence_module, "run_circuit", spy)
+        return runtimes
+
+    def test_runtime_less_calls_leave_the_worker_runtime_cold(self):
+        bench = build_family("bv", 3)
+        verify_triple(bench.precondition, bench.circuit, bench.postcondition)
+        reference = random_circuit(3, num_gates=9, seed=30)
+        buggy, _ = inject_random_gate(reference, seed=22)
+        check_circuit_equivalence(reference, buggy, all_basis_states_ta(3))
+        IncrementalBugHunter(seed=0, max_iterations=3).hunt(reference, buggy)
+        assert default_gate_runtime().memo_stats() == {"size": 0, "hits": 0, "misses": 0}
+
+    def test_both_circuits_of_one_comparison_share_a_runtime(self, monkeypatch):
+        runtimes = self._spy_on_run_circuit(monkeypatch)
+        circuit = random_circuit(3, num_gates=9, seed=30)
+        check_circuit_equivalence(circuit, circuit.copy(), all_basis_states_ta(3))
+        check_circuit_equivalence(circuit, circuit.copy(), all_basis_states_ta(3))
+        assert len(runtimes) == 4
+        assert isinstance(runtimes[0], GateRuntime)
+        assert runtimes[1] is runtimes[0]
+        assert runtimes[3] is runtimes[2] is not runtimes[0]  # one per call
+
+    def test_every_iteration_of_one_hunt_shares_a_runtime(self, monkeypatch):
+        runtimes = self._spy_on_run_circuit(monkeypatch)
+        reference = random_circuit(3, num_gates=9, seed=30)
+        result = IncrementalBugHunter(seed=0, max_iterations=3).hunt(reference, reference.copy())
+        assert len(runtimes) == 2 * result.iterations == 6
+        assert isinstance(runtimes[0], GateRuntime)
+        assert all(runtime is runtimes[0] for runtime in runtimes)

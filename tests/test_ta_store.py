@@ -18,15 +18,7 @@ from hypothesis import strategies as st
 from repro.benchgen import build_family
 from repro.circuits import Circuit, random_circuit
 from repro.core import verify_triple
-from repro.core.engine import (
-    CircuitEngine,
-    EngineStatistics,
-    GateRuntime,
-    clear_gate_cache,
-    configure_gate_store,
-    run_circuit,
-    set_gate_store,
-)
+from repro.core.engine import CircuitEngine, EngineStatistics, GateRuntime, run_circuit
 from repro.core import engine as engine_module
 from repro.core.permutation import PermutationUnsupported, supports_permutation
 from repro.core.tagging import tag
@@ -40,16 +32,9 @@ from repro.ta import (
     serialization,
 )
 from repro.ta import store as store_module
+from repro.ta.store import open_store
 from repro.ta.automaton import clear_intern_tables, clear_reduce_cache
 from repro.algebraic import AlgebraicNumber
-
-
-@pytest.fixture(autouse=True)
-def _detached_store():
-    """Never leak a configured store (or stale process memos) across tests."""
-    yield
-    set_gate_store(None)
-    clear_gate_cache()
 
 
 def _random_reduced_automaton(seed: int):
@@ -422,19 +407,18 @@ class TestAutomatonStore:
 class TestEngineStoreTier:
     def test_fresh_process_simulation_hits_the_store(self, tmp_path):
         bench = build_family("grover", 2)
-        configure_gate_store(str(tmp_path))
-        first = verify_triple(bench.precondition, bench.circuit, bench.postcondition)
+        first = verify_triple(bench.precondition, bench.circuit, bench.postcondition,
+                              runtime=GateRuntime(store=open_store(str(tmp_path))))
         assert first.statistics.store_hits == 0
         assert first.statistics.store_publishes > 0
         assert first.statistics.store_publishes == first.statistics.store_misses
 
         # simulate a brand-new process: all per-process caches emptied, only
         # the on-disk store survives
-        clear_gate_cache()
         clear_reduce_cache()
         clear_intern_tables()
-        configure_gate_store(str(tmp_path))
-        second = verify_triple(bench.precondition, bench.circuit, bench.postcondition)
+        second = verify_triple(bench.precondition, bench.circuit, bench.postcondition,
+                               runtime=GateRuntime(store=open_store(str(tmp_path))))
         assert second.holds == first.holds
         assert second.statistics.store_misses == 0
         assert second.statistics.store_hits == first.statistics.store_publishes
@@ -452,16 +436,12 @@ class TestEngineStoreTier:
         precondition = all_basis_states_ta(2)
         baseline = run_circuit(circuit, precondition).output
 
-        # publish pass: the process memo is warm from the baseline run, so it
-        # must be cleared for the gate applications to reach (and fill) the store
-        clear_gate_cache()
-        configure_gate_store(str(tmp_path))
-        run_circuit(circuit, precondition)
-        clear_gate_cache()
+        # publish pass on a cold memo, so every gate application reaches (and
+        # fills) the store; then a fresh runtime reads it back
+        run_circuit(circuit, precondition, runtime=GateRuntime(store=open_store(str(tmp_path))))
         clear_reduce_cache()
-        configure_gate_store(str(tmp_path))
         statistics = EngineStatistics()
-        engine = CircuitEngine()
+        engine = CircuitEngine(runtime=GateRuntime(store=open_store(str(tmp_path))))
         automaton = precondition
         for gate in circuit.decomposed():
             automaton = engine.apply_gate(automaton, gate, statistics)
@@ -529,9 +509,8 @@ class TestEngineStoreTier:
 
     def test_detached_store_records_nothing(self):
         bench = build_family("grover", 2)
-        configure_gate_store(None)
-        clear_gate_cache()
-        result = verify_triple(bench.precondition, bench.circuit, bench.postcondition)
+        result = verify_triple(bench.precondition, bench.circuit, bench.postcondition,
+                               runtime=GateRuntime(store=None))
         assert result.statistics.store_hits == 0
         assert result.statistics.store_misses == 0
         assert result.statistics.store_publishes == 0
@@ -539,15 +518,16 @@ class TestEngineStoreTier:
     def test_unusable_store_directory_degrades_to_no_store(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the store directory should go")
-        assert configure_gate_store(str(blocker)) is None
+        store = open_store(str(blocker))
+        assert store is None
         bench = build_family("grover", 2)
-        assert verify_triple(bench.precondition, bench.circuit, bench.postcondition).holds
+        assert verify_triple(bench.precondition, bench.circuit, bench.postcondition,
+                             runtime=GateRuntime(store=store)).holds
 
     def test_statistics_to_dict_carries_store_counters(self, tmp_path):
         bench = build_family("grover", 2)
-        configure_gate_store(str(tmp_path))
-        clear_gate_cache()
-        result = verify_triple(bench.precondition, bench.circuit, bench.postcondition)
+        result = verify_triple(bench.precondition, bench.circuit, bench.postcondition,
+                               runtime=GateRuntime(store=open_store(str(tmp_path))))
         summary = result.statistics.to_dict()
         assert summary["store_publishes"] == result.statistics.store_publishes > 0
         assert set(summary) >= {"store_hits", "store_misses", "store_publishes"}
