@@ -30,8 +30,8 @@ Bench sets:
 ``fabric``
     the distributed campaign fabric: one planned matrix sweep drained by
     1 / 2 / 4 real ``campaign --join`` worker subprocesses, with a cold
-    per-joiner store and with a warm shared remote store behind a serve
-    daemon; the 2-joiner row must beat the 1-joiner row by at least
+    per-joiner store and with one warm store directory shared by every
+    joiner; the 2-joiner row must beat the 1-joiner row by at least
     :data:`FABRIC_MIN_SCALING` or the run fails;
 ``default``
     all of the above; ``smoke`` is a fast subset for CI.
@@ -248,10 +248,11 @@ def _fabric_workload(joiners: int, store: str = "cold") -> Workload:
     and the coordination overhead of claiming/completing them, not raw CPU
     parallelism, so the scaling floor holds on single-core CI runners too.
     ``store`` picks the store tier the joiners use — ``"cold"`` gives every
-    joiner its own empty local store (publish overhead included),
-    ``"remote-warm"`` boots a serve daemon whose HTTP store was populated by
-    an identical sweep, so joiners fetch shared verified prefixes instead of
-    recomputing them.
+    joiner its own empty store directory (publish overhead included),
+    ``"shared-warm"`` points every joiner at one store directory an
+    identical sweep populated, the way joined hosts share a directory on the
+    mount that holds the manifests, so joiners read shared verified prefixes
+    instead of recomputing them.
     """
     import shutil
     import subprocess
@@ -277,20 +278,13 @@ def _fabric_workload(joiners: int, store: str = "cold") -> Workload:
 
     def setup():
         scratch = tempfile.mkdtemp(prefix="bench_fabric_")
-        state = {"scratch": scratch, "server": None, "store_dir": None}
-        if store == "remote-warm":
-            from repro.api import SessionConfig
-            from repro.service import ServiceConfig, ServiceServer
-
-            server = ServiceServer(ServiceConfig(port=0, session=SessionConfig(
-                cache_dir="", store_dir=os.path.join(scratch, "shared_store"),
-            ))).start()
-            state["server"] = server
-            state["store_dir"] = server.url
-            # populate the shared remote store with one identical sweep; the
-            # timed joiners get fresh verdict caches, so every hit they score
-            # is a store fetch, not a cached verdict
-            scheduler(scratch, "warm", store_dir=server.url).run()
+        state = {"scratch": scratch, "store_dir": None}
+        if store == "shared-warm":
+            state["store_dir"] = os.path.join(scratch, "shared_store")
+            # populate the shared store with one identical sweep; the timed
+            # joiners get fresh verdict caches, so every hit they score is a
+            # store read, not a cached verdict
+            scheduler(scratch, "warm", store_dir=state["store_dir"]).run()
         planner = scheduler(scratch, "fabric", store_dir=state["store_dir"])
         planner.plan()
         state["cells"] = len(planner.spec.cells())
@@ -328,8 +322,6 @@ def _fabric_workload(joiners: int, store: str = "cold") -> Workload:
                 raise AssertionError(
                     f"queue not drained: {done} of {state['cells']} cells done")
         finally:
-            if state["server"] is not None:
-                state["server"].stop()
             shutil.rmtree(scratch, ignore_errors=True)
 
     return (1, setup, run)
@@ -372,8 +364,8 @@ def build_bench_set(name: str) -> Dict[str, Workload]:
         "fabric/bv4-11/m2/joiners-1": _fabric_workload(1),
         "fabric/bv4-11/m2/joiners-2": _fabric_workload(2),
         "fabric/bv4-11/m2/joiners-4": _fabric_workload(4),
-        "fabric/bv4-11/m2/joiners-2/store-remote-warm": _fabric_workload(
-            2, store="remote-warm"
+        "fabric/bv4-11/m2/joiners-2/store-shared-warm": _fabric_workload(
+            2, store="shared-warm"
         ),
     }
     smoke = {

@@ -6,8 +6,9 @@ tests use: a real ``python -m repro.cli serve --port 0`` subprocess, its
 printed startup URL, verify requests and an SSE campaign through
 :class:`repro.api.client.ServiceClient`, the ``/metrics`` page (which must
 show the counters moving and the warm gate memo being hit, and no store or
-gate-memo counter falling while the campaign runs), and a graceful SIGINT
-shutdown with a clean exit status.
+gate-memo counter falling while the campaign runs), a store-entry ``PUT``
+the daemon must refuse without its store gaining an entry, and a graceful
+SIGINT shutdown with a clean exit status.
 
 Intended for CI (the ``serve-smoke`` job); it also doubles as a health
 check against an already-running daemon via ``--url``.  Writes a JSON
@@ -26,6 +27,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
+import urllib.request
 from typing import Dict, List, Optional
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,6 +58,29 @@ def _runtime_counters(text: str) -> Dict[str, float]:
     return samples
 
 
+def _store_entries(store_dir: Optional[str]) -> List[str]:
+    """Every file under the daemon's store directory (empty when unknown)."""
+    if store_dir is None:
+        return []
+    return sorted(os.path.join(root, name)
+                  for root, _dirs, names in os.walk(store_dir) for name in names)
+
+
+def _put_store_entry(url: str) -> int:
+    """PUT a schema-shaped entry under a store key; the HTTP status."""
+    key = "ab" + "0" * 62
+    body = json.dumps({"store_schema": 1, "automaton": {}, "meta": {}}).encode("utf-8")
+    request = urllib.request.Request(
+        f"{url}/api/v1/store/{key}", data=body, method="PUT",
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        error.close()
+        return error.code
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default=None,
@@ -71,7 +97,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     scratch = tempfile.mkdtemp(prefix="serve_smoke_")
     daemon = None
+    store_dir = None
     if args.url is None:
+        store_dir = os.path.join(scratch, "cache", "store")
         env = dict(os.environ,
                    PYTHONPATH=os.path.join(REPO_ROOT, "src"),
                    AUTOQ_REPRO_CACHE_DIR=os.path.join(scratch, "cache"))
@@ -89,6 +117,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         health = client.health()
         assert health["status"] == "ok", health
         report["health"] = health
+
+        # the store is shared as a directory, never over HTTP: a client that
+        # reaches the daemon must not be able to write into its store
+        entries_before = _store_entries(store_dir)
+        status = _put_store_entry(url)
+        report["store_put_status"] = status
+        assert not 200 <= status < 300, f"the daemon accepted a store PUT ({status})"
+        gained = sorted(set(_store_entries(store_dir)) - set(entries_before))
+        assert not gained, f"a refused store PUT still wrote {gained}"
 
         before = client.metrics_text()
 

@@ -235,9 +235,10 @@ class CampaignResult(Result):
     retries: int = 0
     quarantined_entries: int = 0
     store_disabled: bool = False
-    #: distributed-fabric counters (``docs/distributed.md``): remote
-    #: store-backend hits, and — for cells run under the fabric queue —
-    #: claim generations, steals, re-queues, and lease renewals
+    #: distributed-fabric counters (``docs/distributed.md``): for cells run
+    #: under the fabric queue, claim generations, steals, re-queues, and
+    #: lease renewals.  ``backend_hits`` is always 0; it stays only so that
+    #: ``campaign`` documents keep their v4 shape.
     backend_hits: int = 0
     cells_claimed: int = 0
     cells_stolen: int = 0

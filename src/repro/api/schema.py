@@ -50,7 +50,9 @@ __all__ = [
 #: v4: campaign documents gained the distributed-fabric counters
 #: (``backend_hits``/``cells_claimed``/``cells_stolen``/``cells_requeued``/
 #: ``lease_renewals``) and the ``campaign-join`` tool kind was added
-#: (see ``docs/api.md`` / ``docs/distributed.md``).
+#: (see ``docs/api.md`` / ``docs/distributed.md``).  Within v4,
+#: ``backend_hits`` always reads 0: the remote store transport it counted
+#: was deleted.
 API_VERSION = 4
 
 #: kinds with a dedicated dataclass in :mod:`repro.api.results`

@@ -85,8 +85,6 @@ class SessionConfig:
     manifest_dir: Optional[str] = None
     #: campaign-matrix per-cell report directory
     report_dir: str = "campaign_reports"
-    #: apply the lightweight TA reduction after every gate
-    reduce_after_each_gate: bool = True
     #: deterministic fault-injection plan for chaos testing (see
     #: ``docs/robustness.md``); ``None`` = the ambient ``AUTOQ_REPRO_FAULTS``
     #: env plan, if any.  Threaded into campaigns (parent + pool workers).
@@ -156,7 +154,6 @@ class Session:
             precondition, circuit, postcondition,
             mode=problem.mode,
             inclusion_only=problem.inclusion_only,
-            reduce_after_each_gate=self.config.reduce_after_each_gate,
             runtime=self._runtime,
         )
         return VerifyResult(

@@ -17,14 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Dict, Optional
 
 from ..circuits.circuit import Circuit
 from ..circuits.qasm import to_qasm
 from ..ta import serialization
 from ..ta.automaton import TreeAutomaton
-from ..ta.store import default_store_dir
+from ..ta.store import atomic_write_text, default_store_dir
 
 __all__ = [
     "fingerprint_circuit",
@@ -77,18 +76,7 @@ def atomic_write_json(path: str, payload, indent: Optional[int] = None) -> None:
     partially written file.  Used for both cache entries and campaign
     manifests.
     """
-    directory = os.path.dirname(path) or "."
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=indent)
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=indent))
 
 
 def fingerprint_qasm(qasm: str) -> str:

@@ -116,7 +116,6 @@ def summarise_records(records: Iterable[Dict], wall_seconds: Optional[float] = N
     faults_injected = 0
     retries = 0
     quarantined = 0
-    backend_hits = 0
     store_disabled = False
     for record in records:
         # robustness counters count even on cached/deduplicated records: a
@@ -127,7 +126,6 @@ def summarise_records(records: Iterable[Dict], wall_seconds: Optional[float] = N
         faults_injected += int(faults.get("injected") or 0)
         retries += int(faults.get("store_retries") or 0)
         quarantined += int(faults.get("quarantined") or 0)
-        backend_hits += int(faults.get("backend_hits") or 0)
         store_disabled = store_disabled or bool(faults.get("store_disabled"))
         if record.get("cached") or record.get("deduplicated"):
             continue
@@ -158,9 +156,6 @@ def summarise_records(records: Iterable[Dict], wall_seconds: Optional[float] = N
         "retries": retries,
         "quarantined_entries": quarantined,
         "store_disabled": store_disabled,
-        # remote store-backend hits summed from worker-side fault snapshots
-        # (nonzero only when the campaign shares a daemon-backed store)
-        "backend_hits": backend_hits,
     }
     if wall_seconds is not None:
         summary["wall_seconds"] = wall_seconds

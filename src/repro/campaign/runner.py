@@ -101,9 +101,6 @@ def _fault_snapshot(store) -> Dict[str, int]:
         "injected": injector.total_injected() if injector is not None else 0,
         "quarantined": int(counters.get("quarantined") or 0),
         "store_retries": int(counters.get("retries") or 0),
-        # remote store-backend hits (shared fabric store); rides the same
-        # worker -> record -> summary channel as the robustness counters
-        "backend_hits": int(counters.get("backend_hits") or 0),
     }
 
 
@@ -258,11 +255,11 @@ class CampaignSummary:
     retries: int = 0
     quarantined_entries: int = 0
     store_disabled: bool = False
-    #: distributed-fabric counters (see ``docs/distributed.md``): remote
-    #: store-backend hits by this cell's workers, plus — when the cell ran
-    #: under the fabric queue — its claim generations, steals from stale
-    #: leases, re-queues, and lease heartbeat renewals.  All 0 for a plain
-    #: single-process campaign.
+    #: distributed-fabric counters (see ``docs/distributed.md``): when the
+    #: cell ran under the fabric queue, its claim generations, steals from
+    #: stale leases, re-queues, and lease heartbeat renewals.  All 0 for a
+    #: plain single-process campaign.  ``backend_hits`` is always 0; it stays
+    #: only so that ``campaign`` documents keep their v4 shape.
     backend_hits: int = 0
     cells_claimed: int = 0
     cells_stolen: int = 0
@@ -449,7 +446,6 @@ class Campaign:
             retries=summary["retries"],
             quarantined_entries=summary["quarantined_entries"],
             store_disabled=summary["store_disabled"],
-            backend_hits=summary["backend_hits"],
         )
 
     #: dead-worker poll interval of the pool dispatcher (seconds); short

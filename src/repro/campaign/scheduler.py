@@ -101,8 +101,7 @@ _ROW_COUNTER_KEYS = (
     "jobs", "holds", "violated", "unsupported", "errors", "cache_hits",
     "store_hits", "store_misses", "store_publishes",
     "faults_injected", "retries", "quarantined_entries",
-    "backend_hits", "cells_claimed", "cells_stolen", "cells_requeued",
-    "lease_renewals",
+    "cells_claimed", "cells_stolen", "cells_requeued", "lease_renewals",
 )
 
 

@@ -732,7 +732,10 @@ def _command_cache(args) -> int:
     if args.action == "stats":
         # pure inspection: must not create directories, nor trigger the
         # schema-stamp invalidation that opening a store performs
-        stats = AutomatonStore.disk_stats(store_dir)
+        try:
+            stats = AutomatonStore.disk_stats(store_dir)
+        except ValueError as error:
+            return _fail(args, "invalid-request", str(error))
         cache_dir = args.cache_dir or default_cache_dir()
         try:
             result_entries = sum(
@@ -763,6 +766,8 @@ def _command_cache(args) -> int:
         return 0
     try:
         store = AutomatonStore(store_dir)
+    except ValueError as error:
+        return _fail(args, "invalid-request", str(error))
     except OSError as error:
         return _fail(args, "os-error", f"cannot open store {store_dir!r}: {error}")
     if args.action == "gc":
@@ -1259,6 +1264,8 @@ def _command_serve(args) -> int:
         return _fail(args, "invalid-request", str(error))
     try:
         server = ServiceServer(config)
+    except ValueError as error:
+        return _fail(args, "invalid-request", str(error))
     except OSError as error:
         return _fail(args, "os-error",
                      f"cannot bind {args.host}:{args.port}: {error}")

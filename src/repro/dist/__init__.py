@@ -12,9 +12,10 @@ This package turns a matrix sweep into a multi-process fabric:
 
 Workers attach with ``campaign --join <id>`` (see
 :meth:`repro.campaign.scheduler.MatrixScheduler.join`); the coordinator's
-``summary.json`` roll-up merges whatever the fabric produced.  The store side
-of the fabric — every joined host sharing one daemon's verified
-gate-application prefixes — lives in :mod:`repro.ta.store_backend`.
+``summary.json`` roll-up merges whatever the fabric produced.  Joined hosts
+share verified gate-application prefixes the same way they share the queue:
+point ``--store-dir`` at a directory (:mod:`repro.ta.store`) on the mount
+that holds ``--manifest-dir``.
 """
 
 from .queue import (

@@ -59,12 +59,8 @@ class ServiceMetrics:
         self.engine_analysis_seconds_total = 0.0
         self.campaign_jobs_total = 0
         self.sse_records_total = 0
-        #: ``/api/v1/store/{digest}`` traffic by outcome (get-hit / get-miss /
-        #: get-error / put / put-error) — the daemon-side view of remote
-        #: store-backend usage by joined campaign hosts
-        self.store_requests_total: Dict[str, int] = {}
         #: distributed-fabric counters lifted from finished campaign results
-        #: (cells claimed/stolen/requeued, lease renewals, remote-store hits)
+        #: (cells claimed/stolen/requeued, lease renewals)
         self.fabric_totals: Dict[str, int] = {}
 
     # ------------------------------------------------------------- updates
@@ -94,24 +90,28 @@ class ServiceMetrics:
             self.failures_total[slug] = self.failures_total.get(slug, 0) + 1
 
     def request_failed(self, error: str) -> None:
-        """Count one admitted request that failed, by error slug; timeouts
-        get a dedicated counter too — they are the daemon's capacity signal."""
+        """Count one admitted request whose work ended in failure, by error
+        slug."""
         with self._lock:
             self.in_flight -= 1
             self.failures_total[error] = self.failures_total.get(error, 0) + 1
-            if error == "timeout":
-                self.timeouts_total += 1
 
-    def store_request(self, outcome: str) -> None:
-        """Count one store-endpoint request by outcome slug."""
+    def request_timed_out(self) -> None:
+        """Count one admitted request answered with a timeout — the daemon's
+        capacity signal.  Its work still runs and holds its admission slot,
+        so the in-flight gauge stays up until :meth:`work_finished`."""
         with self._lock:
-            self.store_requests_total[outcome] = (
-                self.store_requests_total.get(outcome, 0) + 1
-            )
+            self.failures_total["timeout"] = self.failures_total.get("timeout", 0) + 1
+            self.timeouts_total += 1
+
+    def work_finished(self) -> None:
+        """The work of a timed-out request finished; it leaves the gauge."""
+        with self._lock:
+            self.in_flight -= 1
 
     #: CampaignResult fields folded into ``fabric_totals`` by observe_result
     _FABRIC_FIELDS = ("cells_claimed", "cells_stolen", "cells_requeued",
-                      "lease_renewals", "backend_hits")
+                      "lease_renewals")
 
     def observe_result(self, result) -> None:
         """Fold a finished result's engine numbers into the running totals."""
@@ -188,15 +188,7 @@ class ServiceMetrics:
                 "# HELP repro_sse_records_total Campaign records streamed over SSE.",
                 "# TYPE repro_sse_records_total counter",
                 _sample("repro_sse_records_total", self.sse_records_total),
-                "# HELP repro_store_endpoint_requests_total Store-endpoint requests by outcome (fabric hosts sharing this daemon's store).",
-                "# TYPE repro_store_endpoint_requests_total counter",
-            ]
-            for outcome in sorted(self.store_requests_total):
-                lines.append(_sample("repro_store_endpoint_requests_total",
-                                     self.store_requests_total[outcome],
-                                     {"outcome": outcome}))
-            lines += [
-                "# HELP repro_fabric_total Distributed-fabric counters from finished campaigns (cells claimed/stolen/requeued, lease renewals, remote-store backend hits).",
+                "# HELP repro_fabric_total Distributed-fabric counters from finished campaigns (cells claimed/stolen/requeued, lease renewals).",
                 "# TYPE repro_fabric_total counter",
             ]
             for name in sorted(self.fabric_totals):
@@ -223,7 +215,7 @@ class ServiceMetrics:
                     _sample("repro_store_memory_entries", store.get("memory_entries", 0)),
                 ]
                 for counter in ("hits", "misses", "publishes", "rejected",
-                                "quarantined", "retries", "backend_hits"):
+                                "quarantined", "retries"):
                     name = f"repro_store_{counter}_total"
                     lines += [
                         f"# HELP {name} Automaton-store session counter '{counter}'.",

@@ -21,24 +21,18 @@ client speaking the versioned :mod:`repro.api.schema`:
     Prometheus text exposition (:mod:`repro.service.metrics`): request /
     failure / rejection counters plus live gate-memo and store hit rates from
     the shared runtime.
-``GET`` / ``PUT /api/v1/store/{digest}``
-    raw automaton-store entries, keyed by content digest — the transport
-    behind :class:`~repro.ta.store_backend.HTTPStoreBackend`, which lets
-    every host joined to a campaign (``campaign --join``) share this
-    daemon's store of verified gate-application prefixes.  GET answers the
-    entry text (200) or 404 on a miss; PUT publishes atomically (204).  503
-    when the daemon runs without an attached store.  Entries are served and
-    stored verbatim: schema validation and quarantine stay reader-side in
-    :class:`~repro.ta.store.AutomatonStore`, exactly as for a local
-    directory.
+
+No endpoint reads or writes the automaton store: hosts that share a store
+share its directory on a common mount (``docs/distributed.md``).
 
 Concurrency model: requests are admitted against a
 :class:`threading.BoundedSemaphore` of ``max_in_flight`` slots (excess load
 is refused immediately with 429 instead of queueing unboundedly) and executed
 on a ``ThreadPoolExecutor`` of ``workers`` threads sharing the one session.
 A request that exceeds ``request_timeout`` gets a 504, but its work keeps its
-slot until it actually finishes — the budget reflects true engine load, so a
-flood of timed-out requests cannot pile up unbounded work.  Shutdown drains:
+slot, and its place in the in-flight gauge, until it actually finishes — the
+budget reflects true engine load, so a flood of timed-out requests cannot
+pile up unbounded work.  Shutdown drains:
 :meth:`VerificationService.close` waits for in-flight work before the
 process exits.
 
@@ -49,7 +43,6 @@ from __future__ import annotations
 
 import json
 import queue
-import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,7 +56,6 @@ from ..api.results import ErrorResult
 from ..api.schema import API_VERSION, SchemaError
 from ..api.session import Session, SessionConfig
 from ..faults import InjectedFault, inject
-from ..ta.store_backend import STORE_ENDPOINT_PREFIX
 from .metrics import ServiceMetrics
 
 __all__ = [
@@ -80,11 +72,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: this ``Retry-After`` hint so clients can pace their next attempt
 TRANSIENT_STATUSES = (429, 503, 504)
 RETRY_AFTER_HINT_SECONDS = 1
-
-#: store keys are SHA-256 content digests; anything else on the store
-#: endpoints is a client bug (and, unchecked, would be a path-injection risk
-#: for directory-backed stores)
-_STORE_KEY_PATTERN = re.compile(r"^[0-9a-f]{64}$")
 
 
 @dataclass(frozen=True)
@@ -196,7 +183,8 @@ class VerificationService:
         try:
             result = future.result(timeout=self.config.request_timeout)
         except _FutureTimeout:
-            self.metrics.request_failed("timeout")
+            self.metrics.request_timed_out()
+            future.add_done_callback(lambda _f: self.metrics.work_finished())
             return 504, ErrorResult(
                 "timeout",
                 f"no answer within {self.config.request_timeout:g}s; the work "
@@ -211,73 +199,6 @@ class VerificationService:
         self.metrics.observe_result(result)
         self.metrics.request_finished(result.kind, time.perf_counter() - start)
         return 200, result.to_dict()
-
-    # ------------------------------------------------------- store endpoints
-    def _store_status(self, key: str) -> Optional[Tuple[int, Dict]]:
-        """Shared admission for the store endpoints; ``None`` means proceed."""
-        if not _STORE_KEY_PATTERN.match(key):
-            return 400, ErrorResult(
-                "invalid-request", "store keys are 64-char hex digests", 400
-            ).to_dict()
-        if self._closed:
-            return 503, ErrorResult("shutting-down", "the daemon is draining", 503).to_dict()
-        if self.session.runtime.store is None:
-            return 503, ErrorResult(
-                "no-store", "this daemon runs without an automaton store", 503
-            ).to_dict()
-        return None
-
-    def store_get(self, key: str) -> Tuple[int, object]:
-        """Raw entry text for ``key``: ``(200, text)``, or an error document.
-
-        Entries are served verbatim (no decode): damage handling is the
-        *reader's* job — a joiner that receives a corrupt entry rejects and
-        recomputes exactly as it would for a corrupt local file.
-        """
-        refusal = self._store_status(key)
-        if refusal is not None:
-            return refusal
-        store = self.session.runtime.store
-        try:
-            text = store.backend.read_text(key)
-        except OSError as error:
-            self.metrics.store_request("get-error")
-            return 500, ErrorResult("internal", f"store read failed: {error}", 500).to_dict()
-        if text is None:
-            self.metrics.store_request("get-miss")
-            return 404, ErrorResult("not-found", f"no store entry {key[:12]}…", 404).to_dict()
-        self.metrics.store_request("get-hit")
-        return 200, text
-
-    def store_put(self, key: str, text: str) -> Tuple[int, Optional[Dict]]:
-        """Publish raw entry text under ``key``; ``(204, None)`` on success.
-
-        The body must at least parse as a JSON object so a truncated upload
-        is refused at the door; full payload validation (schema version,
-        automaton decode) stays reader-side, mirroring local-store behaviour
-        where a put is a blind atomic write.
-        """
-        refusal = self._store_status(key)
-        if refusal is not None:
-            return refusal
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            return 400, ErrorResult(
-                "invalid-request", f"store entry is not JSON: {error}", 400
-            ).to_dict()
-        if not isinstance(payload, dict):
-            return 400, ErrorResult(
-                "invalid-request", "store entry must be a JSON object", 400
-            ).to_dict()
-        store = self.session.runtime.store
-        try:
-            store.backend.write_text(key, text)
-        except OSError as error:
-            self.metrics.store_request("put-error")
-            return 500, ErrorResult("internal", f"store write failed: {error}", 500).to_dict()
-        self.metrics.store_request("put")
-        return 204, None
 
     def stream_campaign(self, document) -> Iterator[Tuple[str, Dict]]:
         """SSE event source for one campaign: ``(event_name, document)`` pairs.
@@ -337,7 +258,8 @@ class VerificationService:
             try:
                 kind, payload = events.get(timeout=self.config.request_timeout)
             except queue.Empty:
-                self.metrics.request_failed("timeout")
+                self.metrics.request_timed_out()
+                future.add_done_callback(lambda _f: self.metrics.work_finished())
                 yield "error", ErrorResult(
                     "timeout",
                     f"no campaign progress within {self.config.request_timeout:g}s",
@@ -403,15 +325,8 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as error:
             raise ValueError(f"request body is not JSON: {error}") from error
 
-    def _store_key(self) -> Optional[str]:
-        """The digest of a ``/api/v1/store/{digest}`` path (else ``None``)."""
-        if not self.path.startswith(STORE_ENDPOINT_PREFIX):
-            return None
-        return self.path[len(STORE_ENDPOINT_PREFIX):]
-
     # ------------------------------------------------------------ endpoints
     def do_GET(self) -> None:
-        store_key = self._store_key()
         if self.path == "/healthz":
             self._send_json(200, self.service.health())
         elif self.path == "/metrics":
@@ -421,41 +336,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
-        elif store_key is not None:
-            status, payload = self.service.store_get(store_key)
-            if status == 200:
-                body = payload.encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            else:
-                self._send_json(status, payload)
         else:
             self._send_error_document("not-found", f"no endpoint {self.path!r}", 404)
-
-    def do_PUT(self) -> None:
-        store_key = self._store_key()
-        if store_key is None:
-            self._send_error_document("not-found", f"no endpoint {self.path!r}", 404)
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_error_document(
-                "invalid-request",
-                f"store entry body must be 1..{MAX_BODY_BYTES} bytes",
-                400,
-            )
-            return
-        text = self.rfile.read(length).decode("utf-8", errors="replace")
-        status, payload = self.service.store_put(store_key, text)
-        if status == 204:
-            self.send_response(204)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-        else:
-            self._send_json(status, payload)
 
     def do_POST(self) -> None:
         if self.path == "/v1/run":

@@ -45,13 +45,10 @@ every ``put`` may silently lose a race — callers must always be able to
 recompute.  Maintenance (``stats`` / ``gc`` / ``clear``) is exposed through
 the ``cache`` CLI subcommand.
 
-Raw entry transport is pluggable (:mod:`repro.ta.store_backend`): the
-default is the local sharded directory described above, while a location of
-``http(s)://host:port`` attaches the daemon's ``/api/v1/store/{digest}``
-endpoints instead, so hosts joined to one campaign share a single store.
-Remote reads that hit count as ``backend_hits`` next to the plain ``hits``
-counter; purely local concerns (quarantine, gc, version stamping) are no-ops
-for a remote backend — damage handling is the serving daemon's job.
+The directory is the store's only transport.  Hosts joined to one campaign
+share a store by pointing ``--store-dir`` at a directory on the mount that
+already holds the campaign's manifests; an ``http(s)://`` location is
+refused (see :class:`AutomatonStore`).
 """
 
 from __future__ import annotations
@@ -60,19 +57,13 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..faults import DEFAULT_STORE_RETRY, RetryPolicy, active_injector, inject
 from . import serialization
 from .automaton import TreeAutomaton
-from .store_backend import (
-    HTTPStoreBackend,
-    LocalDirectoryBackend,
-    StoreBackend,
-    backend_for,
-    is_remote_location,
-)
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -84,10 +75,7 @@ __all__ = [
     "fingerprint",
     "StoreEntry",
     "AutomatonStore",
-    "StoreBackend",
-    "LocalDirectoryBackend",
-    "HTTPStoreBackend",
-    "is_remote_location",
+    "atomic_write_text",
 ]
 
 #: version of the store layout *and* entry payloads; bumping it (or
@@ -124,10 +112,9 @@ def open_store(directory: Optional[str]) -> Optional["AutomatonStore"]:
     The store is purely an optimisation, so every consumer — session
     runtimes, campaign pool workers — wants the same degrade-to-nothing
     behaviour instead of a crash when the directory cannot be created or
-    stamped.  This helper is that one policy.  ``directory`` may also be an
-    ``http(s)://`` daemon URL, which attaches the remote backend
-    (:mod:`repro.ta.store_backend`) — an unreachable daemon degrades at
-    ``get``/``put`` time, never here.
+    stamped.  This helper is that one policy.  A misconfigured location
+    (an ``http(s)://`` URL) still raises ``ValueError``: that is an operator
+    error to report, not a store fault to degrade on.
     """
     if directory is None:
         return None
@@ -135,6 +122,44 @@ def open_store(directory: Optional[str]) -> Optional["AutomatonStore"]:
         return AutomatonStore(directory)
     except OSError:
         return None
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file + ``os.replace``.
+
+    The temp file lives in the target directory (created if missing), so the
+    replace is atomic on POSIX: concurrent writers of one path race benignly
+    (last writer wins) and readers never see a partial file.  Serves store
+    entries, the store's version stamp, and the campaign result cache and
+    manifests (:func:`repro.campaign.cache.atomic_write_json`).
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
+
+
+def _refuse_url(location: str) -> None:
+    """Raise ``ValueError`` for an ``http(s)://`` store location.
+
+    The store has one transport, a directory; without this check a URL would
+    silently become a relative directory named ``http:``.
+    """
+    if location.startswith(("http://", "https://")):
+        raise ValueError(
+            f"store location {location!r} is a URL; the automaton store is a "
+            "directory — to share one between hosts, put --store-dir on the "
+            "mount that holds the campaign manifests"
+        )
 
 
 def fingerprint(automaton: TreeAutomaton) -> str:
@@ -204,31 +229,25 @@ class AutomatonStore:
     Entries live at ``<directory>/<digest[:2]>/<digest>.json`` (sharded so a
     big campaign store never piles 10^5 files into one directory).  All I/O
     errors degrade to cache misses; the store never raises out of ``get`` or
-    ``put``.
+    ``put``.  Constructing one over an ``http(s)://`` location raises
+    ``ValueError`` before anything is created.
     """
 
     def __init__(self, directory: str, max_memory_entries: int = 256,
                  retry: Optional[RetryPolicy] = None,
-                 fault_threshold: int = DEFAULT_FAULT_THRESHOLD,
-                 backend: Optional[StoreBackend] = None):
+                 fault_threshold: int = DEFAULT_FAULT_THRESHOLD):
+        _refuse_url(directory)
         self.directory = directory
-        self.backend = backend if backend is not None else backend_for(directory)
-        # the local backend (None for remote stores) gates every file-level
-        # concern: quarantine, gc, version stamping, recency touches
-        self._local: Optional[LocalDirectoryBackend] = (
-            self.backend if isinstance(self.backend, LocalDirectoryBackend) else None
-        )
         self.max_memory_entries = max_memory_entries
         self._memory: "OrderedDict[str, StoreEntry]" = OrderedDict()
         self.counters = {"hits": 0, "misses": 0, "publishes": 0, "rejected": 0,
-                         "quarantined": 0, "retries": 0, "backend_hits": 0}
+                         "quarantined": 0, "retries": 0}
         self.retry = retry if retry is not None else DEFAULT_STORE_RETRY
         self.fault_threshold = fault_threshold
         self.disabled = False
         self._consecutive_faults = 0
-        if self._local is not None:
-            os.makedirs(directory, exist_ok=True)
-            self._stamp_version()
+        os.makedirs(directory, exist_ok=True)
+        self._stamp_version()
 
     # ------------------------------------------------------------- versioning
     def _version_path(self) -> str:
@@ -251,7 +270,8 @@ class AutomatonStore:
         if stamp is not None and stamp != current:
             self.clear()
         if stamp != current:
-            self._atomic_write(path, current)
+            atomic_write_text(path, json.dumps(current, sort_keys=True,
+                                               separators=(",", ":")))
 
     # -------------------------------------------------------------- keys
     @staticmethod
@@ -273,9 +293,7 @@ class AutomatonStore:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> str:
-        if self._local is None:
-            raise ValueError(f"remote store {self.backend.describe()} has no entry paths")
-        return self._local.path_for(key)
+        return os.path.join(self.directory, key[:2], f"{key}.json")
 
     # -------------------------------------------------------------- get / put
     def _count_retry(self, _attempt: int, _error: BaseException) -> None:
@@ -295,12 +313,14 @@ class AutomatonStore:
     def _read_payload(self, key: str):
         """Raw read of one entry; the ``store.get`` fault site."""
         inject("store.get")
-        text = self.backend.read_text(key)
-        if text is None:
+        try:
+            handle = open(self._path(key), "r", encoding="utf-8")
+        except FileNotFoundError:
             # a plain miss is deterministic — raised as a non-OSError so the
             # retry policy (allowlist: OSError) never loops on it
-            raise _EntryMissing(key)
-        return json.loads(text)
+            raise _EntryMissing(key) from None
+        with handle:
+            return json.load(handle)
 
     def get(self, key: str) -> Optional[StoreEntry]:
         """Fetch and decode an entry; ``None`` on any miss or damage.
@@ -347,32 +367,21 @@ class AutomatonStore:
         entry = StoreEntry(automaton, meta)
         self._remember(key, entry)
         self.counters["hits"] += 1
-        if self.backend.remote:
-            self.counters["backend_hits"] += 1
-        elif self._local is not None:
-            try:
-                # refresh recency so gc() (least-recently-touched eviction)
-                # keeps hot entries; puts are one-shot, so reads are the real
-                # heat signal
-                os.utime(self._local.path_for(key), None)
-            except OSError:
-                pass
+        try:
+            # refresh recency so gc() (least-recently-touched eviction) keeps
+            # hot entries; puts are one-shot, so reads are the real heat signal
+            os.utime(self._path(key), None)
+        except OSError:
+            pass
         return entry
 
     def _reject_entry(self, key: str, reason: str, always_count: bool = False) -> None:
-        """Count a damaged entry and quarantine its file when one exists.
-
-        Remote entries have no local file to move — the serving daemon owns
-        damage handling there — so only the counter moves (and only when the
-        damage is certain, not merely a transport error)."""
-        if self._local is not None:
-            path = self._local.path_for(key)
-            if os.path.exists(path):
-                self.counters["rejected"] += 1
-                self._quarantine(path, reason)
-            elif always_count:
-                self.counters["rejected"] += 1
-        elif always_count or self.backend.remote:
+        """Count a damaged entry and quarantine its file when one exists."""
+        path = self._path(key)
+        if os.path.exists(path):
+            self.counters["rejected"] += 1
+            self._quarantine(path, reason)
+        elif always_count:
             self.counters["rejected"] += 1
 
     def _write_text(self, key: str, text: str) -> None:
@@ -383,7 +392,7 @@ class AutomatonStore:
             injector = active_injector()
             if injector is not None:
                 text = injector.corrupt("store.put", text)
-        self.backend.write_text(key, text)
+        atomic_write_text(self._path(key), text)
 
     def put(self, key: str, automaton: TreeAutomaton, meta: Optional[Dict] = None) -> bool:
         """Publish an entry atomically; returns False when the write failed.
@@ -445,16 +454,6 @@ class AutomatonStore:
             self._discard(path)
         self.counters["quarantined"] += 1
 
-    @classmethod
-    def _atomic_write(cls, path: str, payload: Dict) -> None:
-        cls._atomic_write_text(
-            path, json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
-
-    @staticmethod
-    def _atomic_write_text(path: str, text: str) -> None:
-        LocalDirectoryBackend.write_text_at(path, text)
-
     # ------------------------------------------------------------ maintenance
     @staticmethod
     def _walk_entries(directory: str, suffix: str = ".json") -> List[str]:
@@ -489,8 +488,10 @@ class AutomatonStore:
         the directory nor validates/wipes it on a schema-stamp mismatch, so
         it is safe for pure inspection (the ``cache stats`` CLI).  Reports
         the on-disk stamp next to the current schema so a pending
-        invalidation is visible before it happens.
+        invalidation is visible before it happens.  A URL location raises
+        ``ValueError`` here too.
         """
+        _refuse_url(directory)
         entries = 0
         total_bytes = 0
         for path in AutomatonStore._walk_entries(directory):

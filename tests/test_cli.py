@@ -1,6 +1,7 @@
 """Tests for the ``autoq-repro`` command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -826,6 +827,27 @@ class TestJsonErrorEnvelope:
              "--server", "http://127.0.0.1:1", "--json"],
             "invalid-request")
         assert "--server" in document["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--family", "bv", "--size", "3", "--mutants", "1"],
+        ["campaign", "--families", "bv", "--sizes", "3", "--mutants", "1"],
+        ["campaign", "--join", "nightly"],
+        ["cache", "stats"],
+        ["cache", "gc", "--max-bytes", "0"],
+        ["cache", "clear"],
+        ["serve", "--port", "0"],
+    ], ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[:2]))
+    def test_url_store_location_is_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # unguarded, a URL would become the relative directory ./http:/host:port/
+        monkeypatch.chdir(tmp_path)
+        # a daemon that wrongly started must fail this test, not hang it
+        monkeypatch.setattr("repro.service.ServiceServer.serve_forever",
+                            lambda self: None)
+        document = self._run_error(
+            capsys, argv + ["--store-dir", "http://127.0.0.1:8642", "--json"],
+            "invalid-request")
+        assert "directory" in document["message"]
+        assert os.listdir(str(tmp_path)) == []
 
     def test_campaign_report_os_error(self, tmp_path, capsys):
         report = tmp_path / "not-a-dir" / "r.jsonl"

@@ -1,13 +1,12 @@
-"""Distributed campaign fabric units (``repro.dist`` + store backends).
+"""Distributed campaign fabric units (``repro.dist``).
 
 Covers the lease queue's coordination primitives in-process — atomic claims
 with fencing tokens, heartbeat renewal, the lease-liveness rule and
 stale-lease stealing, idempotent first-writer-wins completion, the read-only
-cell-state view — plus the pluggable store backends (local
-sharded directory vs. HTTP against a live daemon), the per-client retry
-jitter derivation, and the in-process plan → join → merge workflow.  The
-cross-*process* guarantees (two joined schedulers, SIGKILLed joiner) live in
-``tests/test_chaos_campaign.py``.
+cell-state view — plus the per-client retry jitter derivation, and the
+in-process plan → join → merge workflow, including a joiner sharing a warm
+store directory.  The cross-*process* guarantees (two joined schedulers,
+SIGKILLed joiner) live in ``tests/test_chaos_campaign.py``.
 """
 
 import json
@@ -18,7 +17,6 @@ import time
 import pytest
 
 from repro.api.client import ServiceClient
-from repro.api import SessionConfig
 from repro.campaign import JoinRunResult, ManifestError, MatrixScheduler, MatrixSpec
 from repro.dist import JobQueue, queue_dir_for, result_fingerprint
 from repro.dist.queue import (
@@ -34,14 +32,6 @@ from repro.faults import (
     RetryPolicy,
     install_fault_plan,
     install_injector,
-)
-from repro.service import ServiceConfig, ServiceServer
-from repro.ta.store import AutomatonStore
-from repro.ta.store_backend import (
-    HTTPStoreBackend,
-    LocalDirectoryBackend,
-    backend_for,
-    is_remote_location,
 )
 
 
@@ -414,68 +404,6 @@ class TestQueueInventory:
         assert default_lease_ttl() == base
 
 
-class TestStoreBackends:
-    def test_backend_selection_by_location(self, tmp_path):
-        assert not is_remote_location(str(tmp_path))
-        assert is_remote_location("http://127.0.0.1:1")
-        assert is_remote_location("https://store.example")
-        assert isinstance(backend_for(str(tmp_path)), LocalDirectoryBackend)
-        assert isinstance(backend_for("http://127.0.0.1:1"), HTTPStoreBackend)
-
-    def test_local_backend_roundtrip_and_miss(self, tmp_path):
-        backend = LocalDirectoryBackend(str(tmp_path))
-        key = "ab" + "0" * 62
-        assert backend.read_text(key) is None
-        os.makedirs(os.path.dirname(backend.path_for(key)), exist_ok=True)
-        backend.write_text(key, '{"x": 1}')
-        assert backend.read_text(key) == '{"x": 1}'
-        # sharded layout: first two hex chars pick the shard directory
-        assert os.path.basename(os.path.dirname(backend.path_for(key))) == "ab"
-
-    def test_http_backend_roundtrip_against_a_live_daemon(self, tmp_path):
-        config = ServiceConfig(port=0, workers=1, session=SessionConfig(
-            cache_dir="", store_dir=str(tmp_path / "served-store")))
-        server = ServiceServer(config).start()
-        try:
-            backend = HTTPStoreBackend(server.url)
-            key = "c" * 64
-            assert backend.read_text(key) is None  # 404 is a miss, not a fault
-            backend.write_text(key, '{"entry": true}')
-            assert backend.read_text(key) == '{"entry": true}'
-            with pytest.raises(OSError):
-                backend.read_text("not-a-digest")  # 400 is a fault
-            with pytest.raises(OSError):
-                backend.write_text("d" * 64, '"not an object"')
-        finally:
-            server.stop()
-
-    def test_remote_automaton_store_counts_backend_hits(self, tmp_path):
-        config = ServiceConfig(port=0, workers=1, session=SessionConfig(
-            cache_dir="", store_dir=str(tmp_path / "served-store")))
-        server = ServiceServer(config).start()
-        try:
-            from repro.ta import basis_state_ta
-
-            remote = AutomatonStore(server.url)
-            assert remote.backend.remote
-            key = "e" * 64
-            assert remote.get(key) is None
-            automaton = basis_state_ta(2, "01")
-            remote.put(key, automaton)
-            # a different worker (fresh store instance, cold memory tier)
-            # must see the published entry through the shared daemon
-            other = AutomatonStore(server.url)
-            fetched = other.get(key)
-            assert fetched is not None
-            assert fetched.automaton.structure_key() == automaton.structure_key()
-            counters = other.counter_snapshot()
-            assert counters["backend_hits"] == 1
-            assert counters["hits"] == 1
-            assert remote.counter_snapshot()["misses"] == 1
-        finally:
-            server.stop()
-
-
 class TestClientJitter:
     def test_default_clients_derive_distinct_backoff_seeds(self):
         first = ServiceClient("http://127.0.0.1:1")
@@ -567,6 +495,27 @@ class TestJoinWorkflow:
             manifest_dir=str(tmp_path / "manifests"),
             cache_dir=str(tmp_path / "cache")).run_join()
         merged = fabric.run(resume=True)
-        verdict = lambda rows: [(r["cell"], r["jobs"], r["holds"], r["violated"],
-                                 r["unsupported"], r["errors"]) for r in rows]
-        assert verdict(merged.rows) == verdict(solo.rows)
+        assert _verdicts(merged.rows) == _verdicts(solo.rows)
+
+    def test_joiner_on_a_warm_shared_store_directory_hits_it(self, tmp_path):
+        # hosts share a store the way they share the manifests: one directory
+        shared = str(tmp_path / "shared-store")
+        warm = _scheduler(tmp_path, campaign_id="warm", cache_dir="",
+                          store_dir=shared,
+                          report_dir=str(tmp_path / "warm-reports")).run()
+        assert warm.totals["store_publishes"] > 0
+        _scheduler(tmp_path, cache_dir="", store_dir=shared).plan()
+        joined = MatrixScheduler.join(
+            "fabric-test", report_dir=str(tmp_path / "join-reports"),
+            manifest_dir=str(tmp_path / "manifests"), cache_dir="",
+            store_dir=shared).run_join()
+        assert joined.cells_executed == 2
+        assert joined.totals["store_hits"] > 0
+        assert joined.totals["store_misses"] == 0
+        assert _verdicts(sorted(joined.rows, key=lambda row: row["cell"])) == \
+            _verdicts(warm.rows)
+
+
+def _verdicts(rows):
+    return [(row["cell"], row["jobs"], row["holds"], row["violated"],
+             row["unsupported"], row["errors"]) for row in rows]

@@ -7,7 +7,11 @@ HTTP front-end via the real socket + :class:`repro.api.client.ServiceClient`
 client's failure envelope (unreachable daemon, in-band error documents).
 """
 
+import json
 import threading
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -49,6 +53,24 @@ def _campaign_problem(tmp_path, mutants: int = 3) -> CampaignProblem:
         family="bv", size=4, mutants=mutants, seed=0,
         report_path=str(tmp_path / "campaign_report.jsonl"),
     )
+
+
+def _wait_until_idle(service, seconds: float = 10.0) -> None:
+    """Wait (bounded) for the in-flight gauge to drop back to 0."""
+    deadline = time.monotonic() + seconds
+    while service.metrics.in_flight and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert service.metrics.in_flight == 0
+    assert service.health()["in_flight"] == 0
+
+
+def _http_status(request) -> int:
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        error.close()
+        return error.code
 
 
 @pytest.fixture
@@ -131,8 +153,28 @@ class TestServiceCore:
             assert status == 504
             assert payload["error"] == "timeout"
             assert service.metrics.timeouts_total == 1
+            # the work still holds its admission slot, so it is still in flight
+            assert service.metrics.in_flight == 1
+            assert service.health()["in_flight"] == 1
             release.set()
             assert finished.wait(10)  # the work ran to completion regardless
+            _wait_until_idle(service)
+
+    def test_stream_timeout_keeps_the_work_in_flight(self, tmp_path, monkeypatch):
+        release = threading.Event()
+
+        def slow(problem, on_record=None):
+            release.wait(10)
+            return CampaignResult()
+
+        with VerificationService(_config(request_timeout=0.05)) as service:
+            monkeypatch.setattr(service.session, "run_campaign", slow)
+            events = list(service.stream_campaign(_campaign_problem(tmp_path).to_dict()))
+            assert [name for name, _ in events] == ["error"]
+            assert events[0][1]["error"] == "timeout"
+            assert service.metrics.in_flight == 1
+            release.set()
+            _wait_until_idle(service)
 
     def test_crashed_analysis_is_a_500_not_a_dead_daemon(self, service, monkeypatch):
         def boom(problem):
@@ -267,6 +309,28 @@ class TestHTTPFrontEnd:
             client.run_document({"kind": "problem/teleport"})
         assert excinfo.value.result.error == "invalid-request"
         assert excinfo.value.result.code == 400
+
+
+class TestStoreIsNotServed:
+    def test_store_reads_and_writes_are_refused(self, tmp_path):
+        store_dir = tmp_path / "store"
+        server = ServiceServer(_config(session=SessionConfig(
+            cache_dir="", store_dir=str(store_dir)))).start()
+        try:
+            before = sorted(str(path) for path in store_dir.rglob("*"))
+            key = "ab" + "c" * 62
+            url = f"{server.url}/api/v1/store/{key}"
+            entry = json.dumps({"store_schema": 1, "automaton": {}, "meta": {}})
+            put = urllib.request.Request(url, data=entry.encode("utf-8"), method="PUT",
+                                         headers={"Content-Type": "application/json"})
+            assert not 200 <= _http_status(put) < 300
+            assert _http_status(urllib.request.Request(url)) == 404
+            assert sorted(str(path) for path in store_dir.rglob("*")) == before
+            assert not (store_dir / key[:2] / f"{key}.json").exists()
+            assert "repro_store_endpoint_requests_total" not in \
+                ServiceClient(server.url).metrics_text()
+        finally:
+            server.stop()
 
 
 class TestServiceClient:

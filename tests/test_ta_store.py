@@ -147,6 +147,27 @@ class TestAutomatonStore:
         assert entry.automaton.structure_key() == automaton.structure_key()
         assert entry.meta == {"used_permutation": False, "reduced": True}
 
+    def test_miss_is_none_and_entries_live_in_key_prefix_shards(self, tmp_path):
+        store = AutomatonStore(str(tmp_path))
+        key = store.gate_key("fp", "x:0", "hybrid", True)
+        assert store.get(key) is None
+        # a missing file is a plain miss, never a retried I/O fault
+        assert store.counters["misses"] == 1
+        assert store.counters["retries"] == 0
+        assert store.put(key, basis_state_ta(1, "1"))
+        assert os.path.isfile(os.path.join(str(tmp_path), key[:2], f"{key}.json"))
+
+    @pytest.mark.parametrize("location", ["http://127.0.0.1:8642",
+                                          "https://store.example"])
+    def test_url_locations_are_refused_and_create_nothing(self, location, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="directory"):
+            open_store(location)
+        with pytest.raises(ValueError, match="directory"):
+            AutomatonStore.disk_stats(location)
+        assert os.listdir(str(tmp_path)) == []
+
     def test_fresh_store_object_reads_what_another_wrote(self, tmp_path):
         automaton = basis_state_ta(2, "10")
         key = AutomatonStore.gate_key("in", "x:1", "hybrid", True)
