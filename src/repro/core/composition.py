@@ -40,7 +40,6 @@ from ..ta import kernel
 from ..ta.automaton import (
     InternalTransition,
     TreeAutomaton,
-    intern_transition,
     make_symbol,
     symbol_qubit,
     symbol_tags,
@@ -93,7 +92,7 @@ def _copy_subtrees(
                 )
             continue
         internal[state + offset] = tuple(
-            intern_transition(symbol, left + offset, right + offset)
+            (symbol, left + offset, right + offset)
             for symbol, left, right in transitions
         )
         for _symbol, left, right in transitions:
@@ -122,10 +121,10 @@ def restrict(automaton: TreeAutomaton, qubit: int, bit: int) -> TreeAutomaton:
             symbol, left, right = entry
             if symbol_qubit(symbol) == qubit:
                 if bit == 1:
-                    rewritten.append(intern_transition(symbol, left + offset, right))
+                    rewritten.append((symbol, left + offset, right))
                     redirected.append(left)
                 else:
-                    rewritten.append(intern_transition(symbol, left, right + offset))
+                    rewritten.append((symbol, left, right + offset))
                     redirected.append(right)
                 changed = True
             else:
@@ -158,7 +157,7 @@ def subtree_copy(automaton: TreeAutomaton, qubit: int, bit: int) -> TreeAutomato
             symbol, left, right = entry
             if symbol_qubit(symbol) == qubit:
                 child = right if bit == 1 else left
-                rewritten.append(intern_transition(symbol, child, child))
+                rewritten.append((symbol, child, child))
                 changed = True
             else:
                 rewritten.append(entry)
@@ -173,7 +172,7 @@ def _apply_rewrites(
 ) -> Dict[int, Tuple[InternalTransition, ...]]:
     """Apply per-parent removals/additions, touching only the parents that change.
 
-    Unchanged parents keep their interned transition tuples; changed ones are
+    Unchanged parents keep their transition tuples; changed ones are
     rebuilt once (order-preserving, duplicate-free) instead of the old
     ``list.remove`` loop that was quadratic in the transition count.
     """
@@ -219,7 +218,7 @@ def forward_swap(automaton: TreeAutomaton, qubit: int) -> TreeAutomaton:
             right_transitions = automaton.internal.get(right, ())
             if not left_transitions or not right_transitions:
                 raise ValueError("forward_swap applied at the leaf layer")
-            to_remove.setdefault(parent, set()).add(intern_transition(symbol, left, right))
+            to_remove.setdefault(parent, set()).add((symbol, left, right))
             for left_symbol, l00, l01 in left_transitions:
                 for right_symbol, r10, r11 in right_transitions:
                     lower_qubit = symbol_qubit(left_symbol)
@@ -234,16 +233,16 @@ def forward_swap(automaton: TreeAutomaton, qubit: int) -> TreeAutomaton:
                     new_right = fresh_counter + 1
                     fresh_counter += 2
                     to_add.setdefault(parent, []).append(
-                        intern_transition(merged_symbol, new_left, new_right)
+                        (merged_symbol, new_left, new_right)
                     )
                     to_add.setdefault(new_left, []).append(
-                        intern_transition(make_symbol(qubit, parent_tags), l00, r10)
+                        (make_symbol(qubit, parent_tags), l00, r10)
                     )
                     to_add.setdefault(new_right, []).append(
-                        intern_transition(make_symbol(qubit, parent_tags), l01, r11)
+                        (make_symbol(qubit, parent_tags), l01, r11)
                     )
-                    to_remove.setdefault(left, set()).add(intern_transition(left_symbol, l00, l01))
-                    to_remove.setdefault(right, set()).add(intern_transition(right_symbol, r10, r11))
+                    to_remove.setdefault(left, set()).add((left_symbol, l00, l01))
+                    to_remove.setdefault(right, set()).add((right_symbol, r10, r11))
 
     internal = _apply_rewrites(automaton.internal, to_remove, to_add)
     return TreeAutomaton._make(
@@ -275,7 +274,7 @@ def backward_swap(automaton: TreeAutomaton, qubit: int) -> TreeAutomaton:
             ]
             if not left_transitions or not right_transitions:
                 continue
-            to_remove.setdefault(parent, set()).add(intern_transition(symbol, left, right))
+            to_remove.setdefault(parent, set()).add((symbol, left, right))
             for left_symbol, c00, c01 in left_transitions:
                 for right_symbol, c10, c11 in right_transitions:
                     if symbol_tags(left_symbol) != symbol_tags(right_symbol):
@@ -285,16 +284,16 @@ def backward_swap(automaton: TreeAutomaton, qubit: int) -> TreeAutomaton:
                     new_right = fresh_counter + 1
                     fresh_counter += 2
                     to_add.setdefault(parent, []).append(
-                        intern_transition(make_symbol(qubit, upper_tags), new_left, new_right)
+                        (make_symbol(qubit, upper_tags), new_left, new_right)
                     )
                     to_add.setdefault(new_left, []).append(
-                        intern_transition(make_symbol(lower_qubit, (tags[0],)), c00, c10)
+                        (make_symbol(lower_qubit, (tags[0],)), c00, c10)
                     )
                     to_add.setdefault(new_right, []).append(
-                        intern_transition(make_symbol(lower_qubit, (tags[1],)), c01, c11)
+                        (make_symbol(lower_qubit, (tags[1],)), c01, c11)
                     )
-                    to_remove.setdefault(left, set()).add(intern_transition(left_symbol, c00, c01))
-                    to_remove.setdefault(right, set()).add(intern_transition(right_symbol, c10, c11))
+                    to_remove.setdefault(left, set()).add((left_symbol, c00, c01))
+                    to_remove.setdefault(right, set()).add((right_symbol, c10, c11))
 
     internal = _apply_rewrites(automaton.internal, to_remove, to_add)
     return TreeAutomaton._make(
@@ -372,7 +371,7 @@ def projection(automaton: TreeAutomaton, qubit: int, bit: int) -> TreeAutomaton:
                 for left_run in runs[left]:
                     for right_run in runs[right]:
                         run = next(fresh)
-                        internal[run] = (intern_transition(symbol, left_run, right_run),)
+                        internal[run] = ((symbol, left_run, right_run),)
                         built.append(run)
             runs[current] = tuple(built)
         return runs[state]
@@ -398,7 +397,7 @@ def projection(automaton: TreeAutomaton, qubit: int, bit: int) -> TreeAutomaton:
                 for run in runs_of(kept):
                     zipped = zip_state(other, run)
                     pair = (zipped, run) if bit else (run, zipped)
-                    rewritten[intern_transition(symbol, *pair)] = None
+                    rewritten[(symbol, *pair)] = None
             if rewritten:
                 internal[parent] = tuple(rewritten)
     while pending:
@@ -407,7 +406,7 @@ def projection(automaton: TreeAutomaton, qubit: int, bit: int) -> TreeAutomaton:
         transitions = source.get(other)
         if transitions:
             internal[zipped] = tuple(
-                intern_transition(symbol, zip_state(left, run_left), zip_state(right, run_right))
+                (symbol, zip_state(left, run_left), zip_state(right, run_right))
                 for symbol, left, right in transitions
             )
     return TreeAutomaton._make(automaton.num_qubits, automaton.roots, internal, leaves)

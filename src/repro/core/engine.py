@@ -41,7 +41,7 @@ __all__ = [
     "default_gate_runtime",
 ]
 
-#: safety valve mirroring the intern tables: stop memoising beyond this size.
+#: safety valve: stop memoising beyond this size.
 _MAX_GATE_CACHE = 16384
 
 

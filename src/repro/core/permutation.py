@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from ..algebraic import ONE, AlgebraicNumber
 from ..circuits.gates import Gate
-from ..ta.automaton import InternalTransition, TreeAutomaton, intern_transition, symbol_qubit
+from ..ta.automaton import InternalTransition, TreeAutomaton, symbol_qubit
 from .composition import _copy_subtrees
 
 __all__ = ["PermutationUnsupported", "supports_permutation", "apply_permutation_gate"]
@@ -110,7 +110,7 @@ def _swap_children(automaton: TreeAutomaton, target: int) -> TreeAutomaton:
         for entry in transitions:
             symbol, left, right = entry
             if symbol_qubit(symbol) == target and left != right:
-                rewritten.append(intern_transition(symbol, right, left))
+                rewritten.append((symbol, right, left))
                 changed = True
             else:
                 rewritten.append(entry)
@@ -133,7 +133,7 @@ def _redirect_right_children(
         for entry in transitions:
             symbol, left, right = entry
             if symbol_qubit(symbol) == qubit:
-                rewritten.append(intern_transition(symbol, left, right + offset))
+                rewritten.append((symbol, left, right + offset))
                 redirected.append(right)
                 changed = True
             else:

@@ -13,7 +13,6 @@ from typing import Dict, List, Tuple
 from ..ta.automaton import (
     InternalTransition,
     TreeAutomaton,
-    intern_transition,
     make_symbol,
     symbol_qubit,
 )
@@ -36,7 +35,7 @@ def tag(automaton: TreeAutomaton) -> TreeAutomaton:
         for symbol, left, right in automaton.internal[parent]:
             counter += 1
             tagged_transitions.append(
-                intern_transition(make_symbol(symbol_qubit(symbol), (counter,)), left, right)
+                (make_symbol(symbol_qubit(symbol), (counter,)), left, right)
             )
         internal[parent] = tuple(tagged_transitions)
     return TreeAutomaton._make(

@@ -96,16 +96,19 @@ class ServiceMetrics:
             self.in_flight -= 1
             self.failures_total[error] = self.failures_total.get(error, 0) + 1
 
-    def request_timed_out(self) -> None:
-        """Count one admitted request answered with a timeout — the daemon's
-        capacity signal.  Its work still runs and holds its admission slot,
-        so the in-flight gauge stays up until :meth:`work_finished`."""
+    def request_detached(self, slug: str) -> None:
+        """Count one admitted request that ended before its work did, by
+        slug: ``timeout`` (answered 504 — the daemon's capacity signal) or
+        ``disconnected`` (a stream's consumer left).  The work still runs
+        and holds its admission slot, so the in-flight gauge stays up until
+        :meth:`work_finished`."""
         with self._lock:
-            self.failures_total["timeout"] = self.failures_total.get("timeout", 0) + 1
-            self.timeouts_total += 1
+            self.failures_total[slug] = self.failures_total.get(slug, 0) + 1
+            if slug == "timeout":
+                self.timeouts_total += 1
 
     def work_finished(self) -> None:
-        """The work of a timed-out request finished; it leaves the gauge."""
+        """The work of a detached request finished; it leaves the gauge."""
         with self._lock:
             self.in_flight -= 1
 
@@ -209,11 +212,6 @@ class ServiceMetrics:
             ]
             store = runtime_snapshot.get("store")
             if store is not None:
-                lines += [
-                    "# HELP repro_store_memory_entries In-process LRU entries of the automaton store.",
-                    "# TYPE repro_store_memory_entries gauge",
-                    _sample("repro_store_memory_entries", store.get("memory_entries", 0)),
-                ]
                 for counter in ("hits", "misses", "publishes", "rejected",
                                 "quarantined", "retries"):
                     name = f"repro_store_{counter}_total"

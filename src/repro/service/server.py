@@ -156,35 +156,57 @@ class VerificationService:
             uptime_seconds=self.uptime_seconds,
         )
 
-    def run_document(self, document) -> Tuple[int, Dict]:
-        """Answer one problem document; returns ``(http_status, document)``."""
+    def _admit(self, document, campaign: bool = False) -> Problem:
+        """Parse ``document`` and take an admission slot for it.
+
+        Returns the problem once admitted (slot held, in-flight gauge
+        raised); raises :class:`_Refused` with the error to answer instead.
+        """
         try:
             inject("service.request")
         except InjectedFault as error:
             self.metrics.request_refused("unavailable")
-            return 503, ErrorResult("unavailable", str(error), 503).to_dict()
+            raise _Refused("unavailable", str(error), 503) from None
         try:
             problem = Problem.from_dict(document)
         except (SchemaError, ValueError, TypeError, KeyError) as error:
-            return 400, ErrorResult("invalid-request", str(error), 400).to_dict()
+            raise _Refused("invalid-request", str(error), 400) from None
+        if campaign and not isinstance(problem, CampaignProblem):
+            raise _Refused("invalid-request",
+                           "the stream endpoint takes a problem/campaign document", 400)
         if self._closed:
-            return 503, ErrorResult("shutting-down", "the daemon is draining", 503).to_dict()
+            raise _Refused("shutting-down", "the daemon is draining", 503)
         if not self._slots.acquire(blocking=False):
             self.metrics.request_rejected()
-            return 429, ErrorResult(
+            raise _Refused(
                 "saturated",
                 f"admission budget full ({self.config.max_in_flight} in flight); retry later",
                 429,
-            ).to_dict()
+            )
         self.metrics.request_started()
+        return problem
+
+    def _detach(self, future, slug: str) -> None:
+        """The request ends before its work does: answered 504 (``timeout``)
+        or its stream's consumer left (``disconnected``).  Counts one
+        ``slug`` failure now; the work leaves the in-flight gauge when it
+        finishes."""
+        self.metrics.request_detached(slug)
+        future.add_done_callback(lambda _f: self.metrics.work_finished())
+
+    def run_document(self, document) -> Tuple[int, Dict]:
+        """Answer one problem document; returns ``(http_status, document)``."""
+        try:
+            problem = self._admit(document)
+        except _Refused as refusal:
+            return refusal.status, refusal.document
         start = time.perf_counter()
         future = self._executor.submit(self.session.run, problem)
         future.add_done_callback(lambda _f: self._slots.release())
         try:
             result = future.result(timeout=self.config.request_timeout)
         except _FutureTimeout:
-            self.metrics.request_timed_out()
-            future.add_done_callback(lambda _f: self.metrics.work_finished())
+            self._detach(future, "timeout")
             return 504, ErrorResult(
                 "timeout",
                 f"no answer within {self.config.request_timeout:g}s; the work "
@@ -207,38 +229,15 @@ class VerificationService:
         one terminal event: ``summary`` (the ``campaign`` result) or
         ``error``.  ``request_timeout`` bounds the *gap between events*, not
         the whole run — a streaming consumer is getting progress, so only
-        silence signals a stuck campaign.
+        silence signals a stuck campaign.  Closing the stream before its
+        terminal event counts as a ``disconnected`` failure; the campaign
+        still runs to the end.
         """
         try:
-            inject("service.request")
-        except InjectedFault as error:
-            self.metrics.request_refused("unavailable")
-            yield "error", ErrorResult("unavailable", str(error), 503).to_dict()
+            problem = self._admit(document, campaign=True)
+        except _Refused as refusal:
+            yield "error", refusal.document
             return
-        try:
-            problem = Problem.from_dict(document)
-        except (SchemaError, ValueError, TypeError, KeyError) as error:
-            yield "error", ErrorResult("invalid-request", str(error), 400).to_dict()
-            return
-        if not isinstance(problem, CampaignProblem):
-            yield "error", ErrorResult(
-                "invalid-request",
-                "the stream endpoint takes a problem/campaign document",
-                400,
-            ).to_dict()
-            return
-        if self._closed:
-            yield "error", ErrorResult("shutting-down", "the daemon is draining", 503).to_dict()
-            return
-        if not self._slots.acquire(blocking=False):
-            self.metrics.request_rejected()
-            yield "error", ErrorResult(
-                "saturated",
-                f"admission budget full ({self.config.max_in_flight} in flight); retry later",
-                429,
-            ).to_dict()
-            return
-        self.metrics.request_started()
         start = time.perf_counter()
         events: "queue.Queue[Tuple[str, object]]" = queue.Queue()
 
@@ -254,32 +253,48 @@ class VerificationService:
 
         future = self._executor.submit(produce)
         future.add_done_callback(lambda _f: self._slots.release())
-        while True:
-            try:
-                kind, payload = events.get(timeout=self.config.request_timeout)
-            except queue.Empty:
-                self.metrics.request_timed_out()
-                future.add_done_callback(lambda _f: self.metrics.work_finished())
-                yield "error", ErrorResult(
-                    "timeout",
-                    f"no campaign progress within {self.config.request_timeout:g}s",
-                    504,
-                ).to_dict()
-                return
-            if kind == "record":
-                self.metrics.record_streamed()
-                yield "record", payload
-            elif kind == "summary":
-                self.metrics.observe_result(payload)
-                self.metrics.request_finished(payload.kind, time.perf_counter() - start)
-                yield "summary", payload.to_dict()
-                return
-            else:
-                self.metrics.request_failed("internal")
-                yield "error", ErrorResult(
-                    "internal", f"{type(payload).__name__}: {payload}", 500
-                ).to_dict()
-                return
+        ended = False
+        try:
+            while True:
+                try:
+                    kind, payload = events.get(timeout=self.config.request_timeout)
+                except queue.Empty:
+                    ended = True
+                    self._detach(future, "timeout")
+                    yield "error", ErrorResult(
+                        "timeout",
+                        f"no campaign progress within {self.config.request_timeout:g}s",
+                        504,
+                    ).to_dict()
+                    return
+                if kind == "record":
+                    self.metrics.record_streamed()
+                    yield "record", payload
+                elif kind == "summary":
+                    ended = True
+                    self.metrics.observe_result(payload)
+                    self.metrics.request_finished(payload.kind, time.perf_counter() - start)
+                    yield "summary", payload.to_dict()
+                    return
+                else:
+                    ended = True
+                    self.metrics.request_failed("internal")
+                    yield "error", ErrorResult(
+                        "internal", f"{type(payload).__name__}: {payload}", 500
+                    ).to_dict()
+                    return
+        finally:
+            if not ended:
+                self._detach(future, "disconnected")
+
+
+class _Refused(Exception):
+    """A request turned away before admission, with the error to answer."""
+
+    def __init__(self, error: str, message: str, status: int):
+        super().__init__(message)
+        self.status = status
+        self.document = ErrorResult(error, message, status).to_dict()
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
@@ -360,13 +375,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Cache-Control", "no-cache")
             self.send_header("Connection", "close")
             self.end_headers()
+            stream = self.service.stream_campaign(document)
             try:
-                for event, payload in self.service.stream_campaign(document):
+                for event, payload in stream:
                     chunk = f"event: {event}\ndata: {json.dumps(payload, sort_keys=True)}\n\n"
                     self.wfile.write(chunk.encode("utf-8"))
                     self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away mid-stream; the campaign finishes anyway
+                stream.close()  # client went away mid-stream; the campaign finishes anyway
         else:
             self._send_error_document("not-found", f"no endpoint {self.path!r}", 404)
 

@@ -4,10 +4,6 @@ from .automaton import (
     InternalTransition,
     Symbol,
     TreeAutomaton,
-    clear_intern_tables,
-    intern_table_sizes,
-    intern_transition,
-    intern_transitions,
     make_symbol,
     symbol_qubit,
     symbol_tags,
@@ -34,10 +30,6 @@ __all__ = [
     "make_symbol",
     "symbol_qubit",
     "symbol_tags",
-    "intern_transition",
-    "intern_transitions",
-    "intern_table_sizes",
-    "clear_intern_tables",
     "basis_state_ta",
     "all_basis_states_ta",
     "basis_product_ta",

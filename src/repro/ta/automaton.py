@@ -36,12 +36,6 @@ __all__ = [
     "make_symbol",
     "symbol_qubit",
     "symbol_tags",
-    "intern_transition",
-    "intern_transitions",
-    "intern_table_sizes",
-    "clear_intern_tables",
-    "reduce_cache_stats",
-    "clear_reduce_cache",
 ]
 
 #: An internal-node symbol: ``(qubit_index, tags)``.
@@ -49,57 +43,10 @@ Symbol = Tuple[int, Tuple[int, ...]]
 #: ``(symbol, left_state, right_state)``.
 InternalTransition = Tuple[Symbol, int, int]
 
-# ----------------------------------------------------------------- hash-consing
-# The gate transformers create and destroy millions of short transition tuples
-# (the same ``(symbol, left, right)`` triple is typically rebuilt by every
-# restriction / swap / product step).  Interning them in per-process tables
-# makes structurally equal tuples share one object, so dict probing during
-# ``reduce()`` and the product constructions mostly hits identity comparisons
-# and repeated automata reuse their transition storage instead of re-tupling.
-_SYMBOL_TABLE: Dict[Symbol, Symbol] = {}
-_TRANSITION_TABLE: Dict[InternalTransition, InternalTransition] = {}
-#: safety valve: once a table reaches this size, new entries are no longer
-#: stored (existing ones keep being shared) — interning is an optimisation, so
-#: degrading it must never cost more than not interning, and wiping a hot
-#: million-entry table would.  ``clear_intern_tables()`` resets explicitly.
-_MAX_INTERNED = 1_000_000
-
 
 def make_symbol(qubit: int, tags: Tuple[int, ...] = ()) -> Symbol:
-    """Build (and intern) an internal symbol for ``qubit`` with optional tags."""
-    table = _SYMBOL_TABLE
-    symbol = (int(qubit), tuple(tags))
-    if len(table) >= _MAX_INTERNED:
-        return table.get(symbol, symbol)
-    return table.setdefault(symbol, symbol)
-
-
-def intern_transition(symbol: Symbol, left: int, right: int) -> InternalTransition:
-    """Return the canonical shared tuple for the transition ``(symbol, left, right)``."""
-    table = _TRANSITION_TABLE
-    entry = (symbol, left, right)
-    if len(table) >= _MAX_INTERNED:
-        return table.get(entry, entry)
-    return table.setdefault(entry, entry)
-
-
-def intern_transitions(transitions: Iterable[InternalTransition]) -> Tuple[InternalTransition, ...]:
-    """Dedupe (order-preserving) and intern a transition iterable into a tuple."""
-    table = _TRANSITION_TABLE
-    if len(table) >= _MAX_INTERNED:
-        return tuple(dict.fromkeys(table.get(entry, entry) for entry in transitions))
-    return tuple(dict.fromkeys(table.setdefault(entry, entry) for entry in transitions))
-
-
-def intern_table_sizes() -> Tuple[int, int]:
-    """Current sizes of the (symbol, transition) intern tables, for diagnostics."""
-    return len(_SYMBOL_TABLE), len(_TRANSITION_TABLE)
-
-
-def clear_intern_tables() -> None:
-    """Drop the intern tables (existing automata keep working; sharing restarts)."""
-    _SYMBOL_TABLE.clear()
-    _TRANSITION_TABLE.clear()
+    """Build the internal symbol for ``qubit`` with optional tags."""
+    return (int(qubit), tuple(tags))
 
 
 def symbol_qubit(symbol: Symbol) -> int:
@@ -112,39 +59,24 @@ def symbol_tags(symbol: Symbol) -> Tuple[int, ...]:
     return symbol[1]
 
 
-# -------------------------------------------------------------- reduce cache
-# ``reduce()`` is called after every gate application, and circuits with
-# repetitive structure (Grover iterations, QFT layers, campaign sweeps over
-# mutants of one circuit) keep presenting the *same* automaton again and
-# again.  The per-process cache below interns whole state-signature tables:
-# it maps the signature of an automaton (its ``structure_key()``) to the
-# fully reduced result, so re-reducing a previously seen
-# automaton is one dict probe instead of re-hashing every subtree — and all
-# callers share one reduced instance, which in turn makes *their* signature
-# lookups (and the hash-consed transition tables) hit more often.
-_REDUCE_CACHE: Dict[tuple, "TreeAutomaton"] = {}
-#: safety valve, same contract as the intern tables: beyond this size new
-#: results are no longer stored (lookups keep working) until an explicit
-#: :func:`clear_reduce_cache`.
-_MAX_REDUCE_CACHE = 8192
-_REDUCE_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def reduce_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the per-process reduce cache (diagnostics)."""
-    return {"size": len(_REDUCE_CACHE), **_REDUCE_CACHE_STATS}
+# ------------------------------------------------------ benchmark compatibility
+# The gate memo of a ``GateRuntime`` is the only in-process result tier: this
+# module keeps no reduce cache and no intern tables.  ``perfbench/`` still
+# empties and samples them before every batch, so these three stay as no-ops
+# for it alone until the benchmark's next change; nothing else calls them.
 
 
 def clear_reduce_cache() -> None:
-    """Drop the per-process reduce cache and reset its counters."""
-    _REDUCE_CACHE.clear()
-    _REDUCE_CACHE_STATS["hits"] = 0
-    _REDUCE_CACHE_STATS["misses"] = 0
+    """No-op: there is no reduce cache (kept for ``perfbench/``)."""
 
 
-def _reduce_cache_put(key: tuple, value: "TreeAutomaton") -> None:
-    if len(_REDUCE_CACHE) < _MAX_REDUCE_CACHE:
-        _REDUCE_CACHE[key] = value
+def clear_intern_tables() -> None:
+    """No-op: there are no intern tables (kept for ``perfbench/``)."""
+
+
+def reduce_cache_stats() -> Dict[str, int]:
+    """Always zero: there is no reduce cache (kept for ``perfbench/``)."""
+    return {"size": 0, "hits": 0, "misses": 0}
 
 
 class CompactForm:
@@ -152,14 +84,13 @@ class CompactForm:
 
     States are renumbered to contiguous ids ``0..m-1`` (by ascending original
     id, so structurally identical automata built the same way get identical
-    forms), transitions are stored per compact state id and — on demand —
-    grouped per interned symbol for the product constructions.  ``key`` is the
+    forms) and transitions are stored per compact state id.  ``key`` is the
     automaton's full structural signature: a hashable tuple that two automata
     share iff they are identical up to state renaming along the same order.
     """
 
     __slots__ = ("num_qubits", "num_states", "roots", "to_original",
-                 "internal", "leaves", "key", "_by_state_symbol", "_digest")
+                 "internal", "leaves", "key", "_digest")
 
     def __init__(self, automaton: "TreeAutomaton"):
         ordered = sorted(automaton.states)
@@ -171,8 +102,7 @@ class CompactForm:
         internal: List[Tuple[InternalTransition, ...]] = [()] * len(ordered)
         for parent, transitions in automaton.internal.items():
             internal[index[parent]] = tuple(
-                intern_transition(symbol, index[left], index[right])
-                for symbol, left, right in transitions
+                (symbol, index[left], index[right]) for symbol, left, right in transitions
             )
         self.internal: Tuple[Tuple[InternalTransition, ...], ...] = tuple(internal)
         self.leaves: Dict[int, AlgebraicNumber] = {
@@ -184,20 +114,8 @@ class CompactForm:
             self.internal,
             tuple(sorted(self.leaves.items(), key=lambda item: item[0])),
         )
-        self._by_state_symbol: Optional[Dict[Tuple[int, Symbol], Tuple[Tuple[int, int], ...]]] = None
         #: canonical content digest, filled lazily by repro.ta.store.fingerprint
         self._digest: Optional[str] = None
-
-    @property
-    def by_state_symbol(self) -> Dict[Tuple[int, Symbol], Tuple[Tuple[int, int], ...]]:
-        """``(state, symbol) -> ((left, right), ...)`` product index (lazy, cached)."""
-        if self._by_state_symbol is None:
-            grouped: Dict[Tuple[int, Symbol], List[Tuple[int, int]]] = {}
-            for parent, transitions in enumerate(self.internal):
-                for symbol, left, right in transitions:
-                    grouped.setdefault((parent, symbol), []).append((left, right))
-            self._by_state_symbol = {key: tuple(value) for key, value in grouped.items()}
-        return self._by_state_symbol
 
 
 class TreeAutomaton:
@@ -217,7 +135,7 @@ class TreeAutomaton:
         self.num_qubits = int(num_qubits)
         self.roots = frozenset(int(r) for r in roots)
         self.internal: Dict[int, Tuple[InternalTransition, ...]] = {
-            int(state): intern_transitions(transitions)
+            int(state): tuple(dict.fromkeys(transitions))
             for state, transitions in internal.items()
             if transitions
         }
@@ -244,9 +162,9 @@ class TreeAutomaton:
 
         The caller guarantees what ``__init__`` would otherwise normalise:
         ``roots`` is a frozenset, every value of ``internal`` is a non-empty,
-        duplicate-free tuple of *interned* transitions, and neither mapping is
-        mutated afterwards (they may alias another automaton's storage).
-        Skipping the re-interning dictcomp is a large constant win because the
+        duplicate-free tuple of transitions, and neither mapping is mutated
+        afterwards (they may alias another automaton's storage).  Skipping the
+        deduplicating dictcomp is a large constant win because the
         transformers construct automata once per gate term.
         """
         self = cls.__new__(cls)
@@ -309,11 +227,10 @@ class TreeAutomaton:
     def pair_index(self) -> Dict[Tuple[int, Symbol], Tuple[Tuple[int, int], ...]]:
         """``(state, symbol) -> ((left, right), ...)`` product index (cached).
 
-        This is the flat per-interned-symbol grouping the worklist product
-        construction (``binary_operation``) probes for matching transitions;
-        caching it on the instance makes repeated products over a shared
-        automaton — the normal case thanks to the reduce cache — skip the
-        re-indexing pass entirely.
+        This is the flat per-symbol grouping the worklist product construction
+        (``binary_operation``) probes for matching transitions; caching it on
+        the instance makes repeated products with the same right operand (one
+        per term of a gate's update formula) skip the re-indexing pass.
         """
         if self._pair_index is None:
             grouped: Dict[Tuple[int, Symbol], List[Tuple[int, int]]] = {}
@@ -358,8 +275,8 @@ class TreeAutomaton:
         raw ``(roots, internal, leaves)`` content in insertion order, which is
         deterministic for a given construction history.  Two automata built by
         the same transformer sequence over equal inputs therefore get equal
-        keys — exactly the property the reduce and gate caches need — at one
-        O(size) pass without sorting.
+        keys — exactly the property the gate memo needs — at one O(size) pass
+        without sorting.
         """
         if self._skey is None:
             self._skey = (
@@ -412,7 +329,7 @@ class TreeAutomaton:
         if self is other:
             return True
         # fast path: equal structure keys mean bit-identical content, and both
-        # sides usually have theirs cached (the reduce/gate caches key on it) —
+        # sides often have theirs cached (the gate memo keys on it) —
         # comparing them skips rebuilding two full frozenset tables.  Unequal
         # keys are inconclusive (they are transition-order-sensitive; equality
         # is not), so fall through to the order-insensitive comparison.
@@ -481,7 +398,7 @@ class TreeAutomaton:
     def map_leaves(self, mapper) -> "TreeAutomaton":
         """Return a copy whose leaf amplitudes are transformed by ``mapper``."""
         leaves = {state: mapper(amplitude) for state, amplitude in self.leaves.items()}
-        # the internal structure is immutable and interned -> share it outright
+        # the internal structure is immutable -> share it outright
         return TreeAutomaton._make(self.num_qubits, self.roots, self.internal, leaves)
 
     def remove_useless(self) -> "TreeAutomaton":
@@ -503,39 +420,24 @@ class TreeAutomaton:
         (after previous merges), which is a congruence refinement computed
         bottom-up.  Useless states are removed first and duplicates pruned.
 
-        Results are interned in the per-process reduce cache keyed by the
-        automaton's :meth:`structure_key`, so consecutive gate applications
-        that present a previously seen automaton never re-hash its subtrees —
-        they get the shared, already-reduced instance back.
-
-        The sweeps themselves run through the kernel instance
-        (:mod:`repro.ta.kernel`); the cache probe and the layered/fixpoint
-        choice stay here.
+        The result is a pure function of this automaton and nothing here
+        caches it: an automaton ``reduce()`` returned answers a second
+        ``reduce()`` with itself, and the gate memo of a
+        :class:`~repro.core.engine.GateRuntime` keeps reduced gate results.
+        The sweeps run through the kernel instance (:mod:`repro.ta.kernel`);
+        the layered/fixpoint choice stays here.
         """
         if self._reduced:
             return self
-        key = self.structure_key()
-        cached = _REDUCE_CACHE.get(key)
-        if cached is not None:
-            _REDUCE_CACHE_STATS["hits"] += 1
-            return cached
-        _REDUCE_CACHE_STATS["misses"] += 1
         from .kernel import active_backend
 
         backend = active_backend()
         automaton = backend.remove_useless(self)
-        if automaton._reduced:
-            _reduce_cache_put(key, automaton)
-            return automaton
         if automaton._state_depths() is not None:
             result = backend.reduce_layered(automaton)
         else:
             result = backend.reduce_fixpoint(automaton)
         result._reduced = True
-        _reduce_cache_put(key, result)
-        if result is not automaton:
-            # idempotence: reducing the result later must also be a cache hit
-            _reduce_cache_put(result.structure_key(), result)
         return result
 
     # -------------------------------------------------------------- language
@@ -634,7 +536,7 @@ class TreeAutomaton:
         """Return a copy with all composition tags removed from internal symbols."""
         internal = {
             parent: tuple(dict.fromkeys(
-                intern_transition(make_symbol(symbol_qubit(symbol)), left, right)
+                (make_symbol(symbol_qubit(symbol)), left, right)
                 for symbol, left, right in transitions
             ))
             for parent, transitions in self.internal.items()
@@ -645,8 +547,7 @@ class TreeAutomaton:
         """Return a copy with every state id shifted by ``offset`` (for disjoint unions)."""
         internal = {
             parent + offset: tuple(
-                intern_transition(symbol, left + offset, right + offset)
-                for symbol, left, right in transitions
+                (symbol, left + offset, right + offset) for symbol, left, right in transitions
             )
             for parent, transitions in self.internal.items()
         }

@@ -21,11 +21,11 @@ to the layered, acyclic automata produced by this library:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..algebraic import ZERO, AlgebraicNumber
 from ..states import QuantumState
-from .automaton import TreeAutomaton, symbol_qubit
+from .automaton import TreeAutomaton
 
 __all__ = ["InclusionResult", "EquivalenceResult", "check_inclusion", "check_equivalence"]
 
@@ -70,11 +70,7 @@ def check_inclusion(left: TreeAutomaton, right: TreeAutomaton) -> InclusionResul
     right_leaf_states: Dict[AlgebraicNumber, FrozenSet[int]] = {}
     for state, amplitude in right.leaves.items():
         right_leaf_states[amplitude] = right_leaf_states.get(amplitude, frozenset()) | {state}
-    right_transitions_by_qubit: Dict[int, List[Tuple[int, int, int]]] = {}
-    for parent, symbol, left_child, right_child in right.transitions():
-        right_transitions_by_qubit.setdefault(symbol_qubit(symbol), []).append(
-            (parent, left_child, right_child)
-        )
+    right_transitions_by_qubit = right.transitions_by_qubit()
 
     # pairs[q] maps a minimal macro-state S to a witness subtree generated by q
     # whose set of generating right-states is S.

@@ -3,8 +3,8 @@
 These are the three tree-automaton operations every gate transformer comes
 down to.  The functions are deterministic down to the state ids they assign
 and the order of the transition tuples they build, so equal inputs give
-automata with equal ``structure_key()`` fingerprints; the reduce cache, the
-gate memo and the on-disk store all rely on that.
+automata with equal ``structure_key()`` fingerprints; the gate memo and the
+on-disk store rely on that.
 
 :class:`ReferenceBackend` exposes the functions as methods of one instance
 (:func:`repro.ta.kernel.active_backend`);
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...algebraic import AlgebraicNumber
-from ..automaton import InternalTransition, TreeAutomaton, intern_transition
+from ..automaton import InternalTransition, TreeAutomaton
 
 __all__ = [
     "ReferenceBackend",
@@ -123,7 +123,7 @@ def reduce_layered(automaton: TreeAutomaton) -> TreeAutomaton:
                 signature: object = leaves[state]
             else:
                 signature = frozenset(
-                    intern_transition(symbol, representative[left], representative[right])
+                    (symbol, representative[left], representative[right])
                     for symbol, left, right in internal.get(state, ())
                 )
             previous = table.get(signature)
@@ -140,7 +140,7 @@ def reduce_layered(automaton: TreeAutomaton) -> TreeAutomaton:
         if representative[parent] != parent:
             continue  # merged into an earlier state with the same signature
         new_internal[parent] = tuple(dict.fromkeys(
-            intern_transition(symbol, representative[left], representative[right])
+            (symbol, representative[left], representative[right])
             for symbol, left, right in transitions
         ))
     new_leaves = {
@@ -177,7 +177,7 @@ def reduce_fixpoint(automaton: TreeAutomaton) -> TreeAutomaton:
                 signature = (
                     "internal",
                     frozenset(
-                        intern_transition(symbol, resolve(left), resolve(right))
+                        (symbol, resolve(left), resolve(right))
                         for symbol, left, right in internal.get(state, ())
                     ),
                 )
@@ -190,14 +190,14 @@ def reduce_fixpoint(automaton: TreeAutomaton) -> TreeAutomaton:
                 merged_any = True
     if not merged_any:
         # nothing merged: the useless-state-free automaton is already reduced,
-        # so reuse it (and its interned transition storage) as-is
+        # so reuse it (and its transition storage) as-is
         return automaton
     new_internal: Dict[int, Dict[InternalTransition, None]] = {}
     for parent, transitions in internal.items():
         rep_parent = resolve(parent)
         bucket = new_internal.setdefault(rep_parent, {})
         for symbol, left, right in transitions:
-            bucket[intern_transition(symbol, resolve(left), resolve(right))] = None
+            bucket[(symbol, resolve(left), resolve(right))] = None
     new_leaves = {resolve(state): amplitude for state, amplitude in leaves.items()}
     new_roots = {resolve(root) for root in automaton.roots}
     reduced = TreeAutomaton(automaton.num_qubits, new_roots, new_internal, new_leaves)
@@ -215,8 +215,7 @@ def binary_operation(
     if left.num_qubits != right.num_qubits:
         raise ValueError("operands must have the same number of qubits")
     # the (state, symbol) -> child-pairs index is cached on the right operand,
-    # so repeated products over a shared automaton — the normal case thanks to
-    # the reduce cache — skip the re-indexing pass entirely
+    # so repeated products with the same right operand skip the re-indexing
     left_internal = left.internal
     left_leaves = left.leaves
     right_leaves = right.leaves
@@ -261,9 +260,7 @@ def binary_operation(
                     left_id = pair_id(left_pair)
                     if right_pair not in pair_ids:
                         worklist.append(right_pair)
-                    transitions[
-                        intern_transition(symbol, left_id, pair_id(right_pair))
-                    ] = None
+                    transitions[(symbol, left_id, pair_id(right_pair))] = None
         if transitions:
             internal[current] = tuple(transitions)
         else:
@@ -280,8 +277,8 @@ class ReferenceBackend:
     """The kernel's operations as methods of the one instance callers use.
 
     ``reduce_layered``/``reduce_fixpoint`` are called by
-    :meth:`TreeAutomaton.reduce` after the reduce-cache probe and the
-    ``remove_useless`` pass, on a useless-free automaton.  Every method keeps
+    :meth:`TreeAutomaton.reduce` after the ``remove_useless`` pass, on a
+    useless-free automaton.  Every method keeps
     the identity fast paths (returning its input object itself when nothing
     changes); callers test ``is``.
     """

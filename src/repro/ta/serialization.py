@@ -16,7 +16,7 @@ disk and exchange them between runs.
 
 Next to the human-readable text dialect there is a *payload codec*
 (:func:`to_payload` / :func:`from_payload`): a JSON-ready dict form of the
-flat kernel representation, with an explicit symbol interning table, that
+flat kernel representation, with an explicit symbol table, that
 round-trips an automaton **losslessly** — exact state ids, transition order,
 composition tags and leaf amplitudes all survive, so
 ``from_payload(to_payload(a)).structure_key() == a.structure_key()``.  The
@@ -102,9 +102,9 @@ def to_payload(automaton: TreeAutomaton) -> Dict:
     renumbered or reordered: state ids, the insertion order of the internal
     and leaf tables, and the per-state transition order are all preserved, so
     decoding reproduces the exact :meth:`~TreeAutomaton.structure_key`.
-    Distinct ``(qubit, tags)`` symbols are interned into a ``symbols`` table
-    and transitions reference it by index, mirroring the in-process
-    hash-consing and keeping repeated symbols out of the encoded form.
+    Distinct ``(qubit, tags)`` symbols are listed once in a ``symbols`` table
+    and transitions reference it by index, keeping repeated symbols out of
+    the encoded form.
     """
     symbol_index: Dict[tuple, int] = {}
     symbols: List[List] = []

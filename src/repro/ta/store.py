@@ -23,8 +23,6 @@ Design points:
   the target shard directory and published with ``os.replace``; concurrent
   writers of the same key race benignly (last writer wins with identical
   content) and readers never observe a partial file.
-* **In-process LRU read layer.**  Hot entries are served from memory
-  (decoded automata, not JSON), bounded by ``max_memory_entries``.
 * **Versioned layout.**  The store directory carries a ``STORE_VERSION.json``
   stamp; opening a store written by an incompatible schema wipes the stale
   entries instead of mis-reading them.  Individual corrupt / truncated /
@@ -58,7 +56,6 @@ import json
 import logging
 import os
 import tempfile
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..faults import DEFAULT_STORE_RETRY, RetryPolicy, active_injector, inject
@@ -168,7 +165,7 @@ def fingerprint(automaton: TreeAutomaton) -> str:
     The digest is computed over the compact form — contiguous state ids in
     the canonical order, transitions per compact id, sorted leaves — so it is
     stable across processes and under state renaming, unlike the raw
-    ``structure_key()``.  Automata shared through the reduce cache share one
+    ``structure_key()``.  The digest is cached on the instance's
     :class:`~repro.ta.automaton.CompactForm`, so repeated fingerprinting of
     the same instance is one attribute read.
     """
@@ -233,13 +230,10 @@ class AutomatonStore:
     ``ValueError`` before anything is created.
     """
 
-    def __init__(self, directory: str, max_memory_entries: int = 256,
-                 retry: Optional[RetryPolicy] = None,
+    def __init__(self, directory: str, retry: Optional[RetryPolicy] = None,
                  fault_threshold: int = DEFAULT_FAULT_THRESHOLD):
         _refuse_url(directory)
         self.directory = directory
-        self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[str, StoreEntry]" = OrderedDict()
         self.counters = {"hits": 0, "misses": 0, "publishes": 0, "rejected": 0,
                          "quarantined": 0, "retries": 0}
         self.retry = retry if retry is not None else DEFAULT_STORE_RETRY
@@ -331,11 +325,6 @@ class AutomatonStore:
         """
         if self.disabled:
             return None
-        cached = self._memory.get(key)
-        if cached is not None:
-            self._memory.move_to_end(key)
-            self.counters["hits"] += 1
-            return cached
         try:
             payload = self.retry.call(self._read_payload, key,
                                       on_retry=self._count_retry)
@@ -364,8 +353,6 @@ class AutomatonStore:
             self._reject_entry(key, f"invalid payload: {error}", always_count=True)
             return None
         self._consecutive_faults = 0
-        entry = StoreEntry(automaton, meta)
-        self._remember(key, entry)
         self.counters["hits"] += 1
         try:
             # refresh recency so gc() (least-recently-touched eviction) keeps
@@ -373,7 +360,7 @@ class AutomatonStore:
             os.utime(self._path(key), None)
         except OSError:
             pass
-        return entry
+        return StoreEntry(automaton, meta)
 
     def _reject_entry(self, key: str, reason: str, always_count: bool = False) -> None:
         """Count a damaged entry and quarantine its file when one exists."""
@@ -403,11 +390,10 @@ class AutomatonStore:
         """
         if self.disabled:
             return False
-        entry = StoreEntry(automaton, dict(meta or {}))
         payload = {
             "store_schema": STORE_SCHEMA_VERSION,
             "automaton": serialization.to_payload(automaton),
-            "meta": entry.meta,
+            "meta": dict(meta or {}),
         }
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         try:
@@ -417,16 +403,8 @@ class AutomatonStore:
             self._note_fault(error)
             return False
         self._consecutive_faults = 0
-        self._remember(key, entry)
         self.counters["publishes"] += 1
         return True
-
-    def _remember(self, key: str, entry: StoreEntry) -> None:
-        memory = self._memory
-        memory[key] = entry
-        memory.move_to_end(key)
-        while len(memory) > self.max_memory_entries:
-            memory.popitem(last=False)
 
     @staticmethod
     def _discard(path: str) -> None:
@@ -531,22 +509,13 @@ class AutomatonStore:
         }
 
     def stats(self) -> Dict[str, object]:
-        """On-disk + in-process view: entry count, bytes, session counters."""
-        return {
-            **self.disk_stats(self.directory),
-            "memory_entries": len(self._memory),
-            **self.counters,
-        }
+        """On-disk view plus session counters: entry count, bytes, hits, …"""
+        return {**self.disk_stats(self.directory), **self.counters}
 
     def counter_snapshot(self) -> Dict[str, object]:
-        """Session counters + LRU size only — no disk walk, so cheap enough
-        to take on every metrics scrape of a long-running service."""
-        return {
-            "directory": self.directory,
-            "memory_entries": len(self._memory),
-            "disabled": self.disabled,
-            **self.counters,
-        }
+        """Session counters only — no disk walk, so cheap enough to take on
+        every metrics scrape of a long-running service."""
+        return {"directory": self.directory, "disabled": self.disabled, **self.counters}
 
     def _discard_temps(self) -> int:
         """Delete orphaned temp files; returns the bytes reclaimed.
@@ -571,8 +540,6 @@ class AutomatonStore:
         so frequently reused entries (shared circuit prefixes) survive and
         entries no campaign has asked for in a while go first.  Orphaned
         ``*.tmp`` files from interrupted publishes are removed outright.
-        Only the evicted keys are dropped from the in-process LRU — a no-op
-        gc (already under budget) must not cool a warm memo.
         Returns how many entries and bytes were removed and what remains.
         """
         removed_bytes = self._discard_temps()
@@ -591,8 +558,6 @@ class AutomatonStore:
             if total <= max_bytes:
                 break
             self._discard(path)
-            key = os.path.basename(path)[: -len(".json")]
-            self._memory.pop(key, None)
             total -= size
             removed += 1
             removed_bytes += size
@@ -616,7 +581,6 @@ class AutomatonStore:
                 self._discard(os.path.join(quarantine_dir, name))
         except OSError:
             pass
-        self._memory.clear()
         return removed
 
     def __len__(self) -> int:

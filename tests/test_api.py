@@ -251,6 +251,33 @@ class TestSessionIsolation:
             first.close()
             second.close()
 
+    def test_two_sessions_share_no_reduction_work(self):
+        """``reduce()`` keeps no process-wide cache: a second session that
+        verifies the same circuit repeats every reduction the first made."""
+        from repro.ta import kernel
+
+        backend = kernel.active_backend()
+        layered = backend.reduce_layered
+        calls = []
+
+        def counting(automaton):
+            calls.append(None)
+            return layered(automaton)
+
+        problem = VerifyProblem(circuit=CircuitSource.from_family("bv", 4))
+        counts = []
+        backend.reduce_layered = counting
+        try:
+            for _ in range(2):
+                with Session() as session:
+                    before = len(calls)
+                    session.run(problem)
+                    counts.append(len(calls) - before)
+        finally:
+            del backend.reduce_layered
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
     def test_exiting_the_context_resets_the_runtime(self, tmp_path):
         with Session(store_dir=str(tmp_path / "store")) as session:
             session.run(VerifyProblem(circuit=CircuitSource.from_family("ghz", 3)))

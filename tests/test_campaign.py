@@ -271,21 +271,14 @@ class TestCampaignStore:
         assert resolve_store_dir(None, None) == default_store_dir()
 
     def test_second_run_reuses_the_store_across_simulated_processes(self, tmp_path):
-        from repro.ta.automaton import clear_intern_tables, clear_reduce_cache
-
         store_dir = str(tmp_path / "store")
-        # start from cold per-process caches (each run also starts from a
-        # cold private gate memo): earlier tests sweep the same family
-        clear_reduce_cache()
-        clear_intern_tables()
         # result cache off so every job actually verifies; store on explicitly
         first = run_campaign(_config(tmp_path, cache_dir="", store_dir=store_dir))
         assert first.store_publishes > 0
         assert first.store_hits + first.store_misses > 0
 
-        # simulate fresh worker processes: drop every per-process cache
-        clear_reduce_cache()
-        clear_intern_tables()
+        # each run starts from a fresh private gate memo, which makes it a
+        # fresh process as far as caches go: only the on-disk store survives
         warm = run_campaign(_config(tmp_path, cache_dir="", store_dir=store_dir,
                                     report_path=str(tmp_path / "warm.jsonl")))
         assert warm.store_hits > 0

@@ -176,6 +176,15 @@ class TestServiceCore:
             release.set()
             _wait_until_idle(service)
 
+    def test_closed_stream_leaves_the_gauge_when_its_campaign_ends(self, service, tmp_path):
+        # the HTTP handler closes the stream when its client goes away
+        stream = service.stream_campaign(_campaign_problem(tmp_path).to_dict())
+        name, _record = next(stream)
+        assert name == "record"
+        stream.close()
+        _wait_until_idle(service)
+        assert service.metrics.failures_total == {"disconnected": 1}
+
     def test_crashed_analysis_is_a_500_not_a_dead_daemon(self, service, monkeypatch):
         def boom(problem):
             raise RuntimeError("engine exploded")

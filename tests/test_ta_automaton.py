@@ -215,7 +215,7 @@ class TestConstructionHelpers:
 
 
 class TestCompactFormAndCaches:
-    """The PR-3 kernel substrate: compact form, structure keys, reduce cache."""
+    """The kernel substrate: compact form, structure keys, cached indexes."""
 
     def test_compact_form_has_contiguous_ids(self):
         automaton = basis_state_ta(3, "010").shifted(100)
@@ -230,42 +230,21 @@ class TestCompactFormAndCaches:
         # compact ids map back to the original (shifted) state ids
         assert set(compact.to_original) == set(automaton.states)
 
-    def test_compact_by_state_symbol_groups_transitions(self):
+    def test_pair_index_groups_transitions(self):
         automaton = all_basis_states_ta(2)
-        compact = automaton.compact()
-        total = sum(len(children) for children in compact.by_state_symbol.values())
-        assert total == sum(len(ts) for ts in compact.internal)
-        for (parent, symbol), children in compact.by_state_symbol.items():
+        index = automaton.pair_index()
+        total = sum(len(children) for children in index.values())
+        assert total == sum(len(ts) for ts in automaton.internal.values())
+        for (parent, symbol), children in index.items():
             for left, right in children:
-                assert (symbol, left, right) in compact.internal[parent]
+                assert (symbol, left, right) in automaton.internal[parent]
+        assert automaton.pair_index() is index  # cached on the instance
 
     def test_structure_key_distinguishes_structure(self):
         left = basis_state_ta(2, "01")
         right = basis_state_ta(2, "10")
         assert left.structure_key() != right.structure_key()
         assert left.structure_key() == basis_state_ta(2, "01").structure_key()
-
-    def test_reduce_cache_shares_reduced_instances(self):
-        from repro.ta.automaton import clear_reduce_cache, reduce_cache_stats
-
-        clear_reduce_cache()
-        states = [QuantumState.basis_state(3, bits) for bits in ("000", "011", "101")]
-        first = from_quantum_states(states, reduce=False)
-        second = from_quantum_states(states, reduce=False)
-        assert first is not second
-        reduced_first = first.reduce()
-        before = reduce_cache_stats()["hits"]
-        reduced_second = second.reduce()
-        assert reduced_second is reduced_first  # interned via the signature cache
-        assert reduce_cache_stats()["hits"] == before + 1
-        assert reduced_first.reduce() is reduced_first  # idempotence fast path
-
-    def test_reduce_cache_clear_resets_counters(self):
-        from repro.ta.automaton import clear_reduce_cache, reduce_cache_stats
-
-        clear_reduce_cache()
-        stats = reduce_cache_stats()
-        assert stats == {"size": 0, "hits": 0, "misses": 0}
 
     def test_transitions_by_qubit_index_is_complete(self):
         automaton = all_basis_states_ta(3)

@@ -12,7 +12,6 @@ from repro.core.composition import apply_composition_gate
 from repro.core.engine import AnalysisMode, CircuitEngine, EngineStatistics, GateRuntime
 from repro.ta import all_basis_states_ta, basis_state_ta
 from repro.ta import kernel
-from repro.ta.automaton import clear_reduce_cache
 
 HOOKED = ("binary_operation", "remove_useless", "reduce_layered")
 
@@ -31,13 +30,11 @@ def test_replaced_kernel_methods_see_a_composition_gate_and_a_reduce():
     for name in HOOKED:
         setattr(backend, name, counting(name, getattr(backend, name)))
     try:
-        clear_reduce_cache()
         applied = apply_composition_gate(all_basis_states_ta(3), Gate("h", (0,)))
         applied.reduce()
     finally:
         for name in HOOKED:
             delattr(backend, name)
-        clear_reduce_cache()
     assert all(calls[name] > 0 for name in HOOKED), calls
     assert kernel.active_backend() is backend
 

@@ -5,9 +5,8 @@ used by the bug hunter) and explicit-state automata (finite sets of quantum
 states with algebraic amplitudes) are bloated with redundant copies; both
 ``reduce()`` and ``simulation_reduce()`` must return an automaton with the
 same language (``accepts`` / ``enumerate_states`` unchanged) and at most the
-original number of states and transitions.  The hash-consing fast paths are
-pinned too: reducing an already-reduced automaton returns it unchanged, and
-interned symbols/transitions are shared objects.
+original number of states and transitions.  The identity fast paths are
+pinned too: reducing an already-reduced automaton returns it unchanged.
 """
 
 import random
@@ -20,8 +19,6 @@ from repro.states import QuantumState
 from repro.ta import (
     basis_product_ta,
     from_quantum_states,
-    intern_transition,
-    make_symbol,
     simulation_reduce,
 )
 
@@ -117,21 +114,6 @@ class TestHashConsing:
     def test_remove_useless_without_useless_states_is_identity(self):
         automaton = _product_form_ta(7)
         assert automaton.remove_useless() is automaton
-
-    def test_symbols_are_interned(self):
-        assert make_symbol(3) is make_symbol(3)
-        assert make_symbol(2, (1, 4)) is make_symbol(2, (1, 4))
-
-    def test_transitions_are_interned(self):
-        symbol = make_symbol(0)
-        assert intern_transition(symbol, 1, 2) is intern_transition(symbol, 1, 2)
-
-    def test_equal_automata_share_transition_tuples(self):
-        first = _product_form_ta(11)
-        second = _product_form_ta(11)
-        for state, transitions in first.internal.items():
-            for ours, theirs in zip(transitions, second.internal[state]):
-                assert ours is theirs
 
     def test_states_cache_matches_recomputation(self):
         automaton = _bloat(_explicit_states_ta(3))

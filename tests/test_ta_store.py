@@ -3,7 +3,7 @@
 Covers the three layers the store spans: the lossless payload codec in
 ``repro.ta.serialization`` (round-trips must preserve ``structure_key()``
 exactly, including composition tags), the content-addressed on-disk store in
-``repro.ta.store`` (atomic puts, corruption/schema rejection, LRU, gc), and
+``repro.ta.store`` (atomic puts, corruption/schema rejection, gc), and
 the engine's two-tier lookup (process memo -> store -> compute + publish).
 """
 
@@ -33,7 +33,6 @@ from repro.ta import (
 )
 from repro.ta import store as store_module
 from repro.ta.store import open_store
-from repro.ta.automaton import clear_intern_tables, clear_reduce_cache
 from repro.algebraic import AlgebraicNumber
 
 
@@ -190,7 +189,7 @@ class TestAutomatonStore:
         path = store._path(key)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{ this is not json")
-        fresh = AutomatonStore(str(tmp_path))  # empty LRU
+        fresh = AutomatonStore(str(tmp_path))  # counters start at zero
         assert fresh.get(key) is None
         assert not os.path.exists(path)
         assert fresh.counters["rejected"] == 1
@@ -294,16 +293,16 @@ class TestAutomatonStore:
         with open(os.path.join(str(tmp_path), "STORE_VERSION.json")) as handle:
             assert json.load(handle)["store_schema"] == store_module.STORE_SCHEMA_VERSION
 
-    def test_memory_layer_is_lru_bounded(self, tmp_path):
-        store = AutomatonStore(str(tmp_path), max_memory_entries=2)
-        automaton = basis_state_ta(1, "0")
-        keys = [store.gate_key("fp", f"g:{index}", "hybrid", True) for index in range(4)]
-        for key in keys:
-            store.put(key, automaton)
-        assert len(store._memory) == 2
-        assert keys[-1] in store._memory and keys[0] not in store._memory
-        # evicted entries are still served from disk
-        assert store.get(keys[0]) is not None
+    def test_get_reads_the_entry_file_every_time(self, tmp_path):
+        # no in-process copy: an entry deleted after its put is a plain miss
+        store = AutomatonStore(str(tmp_path))
+        key = store.gate_key("fp", "h:0", "hybrid", True)
+        store.put(key, basis_state_ta(1, "0"))
+        assert store.get(key) is not None
+        os.unlink(store._path(key))
+        assert store.get(key) is None
+        assert store.counters["hits"] == 1
+        assert store.counters["misses"] == 1
 
     def test_stats_and_len(self, tmp_path):
         store = AutomatonStore(str(tmp_path))
@@ -323,37 +322,14 @@ class TestAutomatonStore:
             path = store._path(key)
             os.utime(path, (1_000_000 + index, 1_000_000 + index))
         size = os.path.getsize(store._path(keys[0]))
+        # under budget: a no-op gc removes nothing
+        assert store.gc(max_bytes=5 * size)["removed_entries"] == 0
+        assert all(os.path.exists(store._path(key)) for key in keys)
         outcome = store.gc(max_bytes=2 * size)
         assert outcome["removed_entries"] == 3
         assert outcome["remaining_bytes"] <= 2 * size
         survivors = [key for key in keys if os.path.exists(store._path(key))]
         assert survivors == keys[-2:]
-
-    def test_noop_gc_keeps_the_memory_layer_warm(self, tmp_path):
-        # regression: gc used to clear the whole in-process LRU even when it
-        # evicted nothing, cooling a warm daemon on every periodic gc tick
-        store = AutomatonStore(str(tmp_path))
-        keys = [store.gate_key("fp", f"g:{index}", "hybrid", True) for index in range(3)]
-        for key in keys:
-            store.put(key, basis_state_ta(1, "0"))
-        assert len(store._memory) == 3
-        outcome = store.gc(max_bytes=10**9)
-        assert outcome["removed_entries"] == 0
-        assert sorted(store._memory) == sorted(keys)
-
-    def test_gc_invalidates_only_the_evicted_memory_keys(self, tmp_path):
-        store = AutomatonStore(str(tmp_path))
-        keys = [store.gate_key("fp", f"g:{index}", "hybrid", True) for index in range(4)]
-        for index, key in enumerate(keys):
-            store.put(key, basis_state_ta(2, "01"))
-            os.utime(store._path(key), (1_000_000 + index, 1_000_000 + index))
-        size = os.path.getsize(store._path(keys[0]))
-        outcome = store.gc(max_bytes=2 * size)
-        assert outcome["removed_entries"] == 2
-        # survivors still answer from memory, evicted keys are gone from it
-        assert sorted(store._memory) == sorted(keys[-2:])
-        for key in keys[-2:]:
-            assert store.get(key) is not None
 
     def test_counter_snapshot_reports_memory_without_touching_disk(self, tmp_path):
         store = AutomatonStore(str(tmp_path))
@@ -361,8 +337,9 @@ class TestAutomatonStore:
         store.put(key, basis_state_ta(1, "0"))
         assert store.get(key) is not None
         snapshot = store.counter_snapshot()
+        assert set(snapshot) == {"directory", "disabled", "hits", "misses", "publishes",
+                                 "rejected", "quarantined", "retries"}
         assert snapshot["directory"] == str(tmp_path)
-        assert snapshot["memory_entries"] == 1
         assert snapshot["publishes"] == 1 and snapshot["hits"] == 1
 
     def test_clear_removes_everything(self, tmp_path):
@@ -379,8 +356,8 @@ class TestAutomatonStore:
         for index, key in enumerate(keys):
             store.put(key, basis_state_ta(2, "01"))
             os.utime(store._path(key), (1_000_000 + index, 1_000_000 + index))
-        # read the oldest entry through a fresh store (no LRU shortcut): the
-        # hit must bump its mtime past the others, so gc evicts them first
+        # read the oldest entry through a fresh store: the hit must bump its
+        # mtime past the others, so gc evicts them first
         fresh = AutomatonStore(str(tmp_path))
         assert fresh.get(keys[0]) is not None
         size = os.path.getsize(fresh._path(keys[0]))
@@ -434,10 +411,8 @@ class TestEngineStoreTier:
         assert first.statistics.store_publishes > 0
         assert first.statistics.store_publishes == first.statistics.store_misses
 
-        # simulate a brand-new process: all per-process caches emptied, only
+        # a fresh runtime is a brand-new process as far as caches go: only
         # the on-disk store survives
-        clear_reduce_cache()
-        clear_intern_tables()
         second = verify_triple(bench.precondition, bench.circuit, bench.postcondition,
                                runtime=GateRuntime(store=open_store(str(tmp_path))))
         assert second.holds == first.holds
@@ -460,7 +435,6 @@ class TestEngineStoreTier:
         # publish pass on a cold memo, so every gate application reaches (and
         # fills) the store; then a fresh runtime reads it back
         run_circuit(circuit, precondition, runtime=GateRuntime(store=open_store(str(tmp_path))))
-        clear_reduce_cache()
         statistics = EngineStatistics()
         engine = CircuitEngine(runtime=GateRuntime(store=open_store(str(tmp_path))))
         automaton = precondition
