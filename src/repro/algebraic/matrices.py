@@ -123,12 +123,20 @@ GATE_MATRICES: Dict[str, Matrix] = {
 }
 
 
-def gate_matrix(name: str) -> Matrix:
-    """Return the exact matrix for a gate name (case-insensitive).
+#: circuit gate kinds whose matrix is stored under another name
+_KIND_ALIASES = {"CSWAP": "FREDKIN"}
 
-    Raises :class:`KeyError` for unsupported gates.
+
+def gate_matrix(name: str) -> Matrix:
+    """Return the exact matrix for a gate name or circuit gate kind.
+
+    Names are case-insensitive, so a circuit gate kind (``"cx"``) names its
+    matrix directly; ``cswap`` is the one kind whose matrix has another name
+    (``FREDKIN``).  Raises :class:`KeyError` for unsupported gates (``swap``
+    included: the simulators apply it as a permutation).
     """
-    return GATE_MATRICES[name.upper()]
+    key = name.upper()
+    return GATE_MATRICES[_KIND_ALIASES.get(key, key)]
 
 
 def matrix_to_complex(matrix: Matrix):

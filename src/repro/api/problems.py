@@ -144,6 +144,9 @@ class ConditionSpec:
             raise ValueError(f"condition kind {self.kind!r} takes no value")
         if self.kind == "basis":
             parse_bitstring(self.value)  # fail fast on malformed bits
+        if self.kind == "ta":
+            # fail fast on a malformed or non-layered automaton
+            serialization.loads(self.value).validate()
 
     @classmethod
     def from_automaton(cls, automaton: TreeAutomaton) -> "ConditionSpec":

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Dict, List, Optional
 
+from ..campaign.runner import CampaignSummary
 from ..core.engine import EngineStatistics
 from .schema import (
     API_VERSION,
@@ -199,51 +200,14 @@ class SimulateResult(Result):
 
 
 @dataclass
-class CampaignResult(Result):
+class CampaignResult(Result, CampaignSummary):
     """Outcome of a :class:`~repro.api.CampaignProblem` (mutant sweep).
 
-    Field-for-field the JSON form of
-    :class:`repro.campaign.runner.CampaignSummary`; the exit-code contract is
-    the campaign one — finding violated mutants is the *purpose*, so only
-    crashed jobs or a self-violating reference taint the run.
+    The fields are those of :class:`repro.campaign.runner.CampaignSummary`;
+    the exit-code contract is the campaign one — finding violated mutants is
+    the *purpose*, so only crashed jobs or a self-violating reference taint
+    the run.
     """
-
-    benchmark: str = ""
-    mode: str = "hybrid"
-    workers: int = 1
-    jobs: int = 0
-    holds: int = 0
-    violated: int = 0
-    unsupported: int = 0
-    errors: int = 0
-    cache_hits: int = 0
-    analysis_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    report_path: str = ""
-    reference_violated: bool = False
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    store_hits: int = 0
-    store_misses: int = 0
-    store_publishes: int = 0
-    #: fuzz regression gate (0/0 when the campaign ran without a corpus)
-    corpus_replayed: int = 0
-    corpus_failures: int = 0
-    #: robustness roll-up (see ``docs/robustness.md``); mirrors
-    #: ``CampaignSummary``: injected faults, job re-queues + store retries,
-    #: quarantined store entries, store-tier self-degradation
-    faults_injected: int = 0
-    retries: int = 0
-    quarantined_entries: int = 0
-    store_disabled: bool = False
-    #: distributed-fabric counters (``docs/distributed.md``): for cells run
-    #: under the fabric queue, claim generations, steals, re-queues, and
-    #: lease renewals.  ``backend_hits`` is always 0; it stays only so that
-    #: ``campaign`` documents keep their v4 shape.
-    backend_hits: int = 0
-    cells_claimed: int = 0
-    cells_stolen: int = 0
-    cells_requeued: int = 0
-    lease_renewals: int = 0
 
     KIND: ClassVar[str] = "campaign"
 

@@ -13,15 +13,16 @@ Each job carries its circuit and condition automata in *serialized* form
 processes and replayed later from the report alone.
 
 Matrix campaigns (:mod:`repro.campaign.scheduler`) instantiate one plan per
-sweep cell; :meth:`MutationPlan.to_dict` records the plan parameters in the
-resumable manifest so an interrupted sweep provably resumes the *same* plan.
+sweep cell from the cell's spec; the resumable manifest records the sweep's
+:meth:`~repro.campaign.scheduler.MatrixSpec.to_dict`, so an interrupted sweep
+rebuilds the *same* plans.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..benchgen.common import VerificationBenchmark
 from ..circuits.circuit import Circuit
@@ -87,15 +88,6 @@ class MutationPlan:
         self.kinds = tuple(kinds)
         self.base_seed = int(base_seed)
         self.include_reference = bool(include_reference)
-
-    def to_dict(self) -> Dict:
-        """The plan's defining parameters (stored in campaign manifests)."""
-        return {
-            "num_mutants": self.num_mutants,
-            "kinds": list(self.kinds),
-            "base_seed": self.base_seed,
-            "include_reference": self.include_reference,
-        }
 
     def mutants(self, circuit: Circuit) -> Iterator[Tuple[int, str, int, Circuit, Optional[str]]]:
         """Yield ``(index, kind, seed, mutant, mutation_description)`` tuples.

@@ -218,19 +218,24 @@ class CampaignConfig:
 
 @dataclass
 class CampaignSummary:
-    """Campaign-level outcome (one row of the CLI summary table)."""
+    """Campaign-level outcome (one row of the CLI summary table).
 
-    benchmark: str
-    mode: str
-    workers: int
-    jobs: int
-    holds: int
-    violated: int
-    errors: int
-    cache_hits: int
-    analysis_seconds: float
-    wall_seconds: float
-    report_path: str
+    :class:`repro.api.CampaignResult` is this dataclass with the result
+    envelope on top, so every field here is a field of ``campaign``
+    documents; every field has a default so that an empty result builds.
+    """
+
+    benchmark: str = ""
+    mode: str = "hybrid"
+    workers: int = 1
+    jobs: int = 0
+    holds: int = 0
+    violated: int = 0
+    errors: int = 0
+    cache_hits: int = 0
+    analysis_seconds: float = 0.0
+    wall_seconds: float = 0.0
+    report_path: str = ""
     #: mutants unverifiable under this mode (e.g. a non-permutation gate was
     #: inserted into a permutation-mode campaign) — not counted as errors
     unsupported: int = 0

@@ -147,13 +147,14 @@ from .campaign import (
     default_manifest_dir,
     format_cell_table,
     list_campaign_ids,
+    resolve_store_dir,
 )
 from .campaign.plan import MUTATION_KINDS
 from .circuits import inject_random_gate, load_qasm_file, save_qasm_file
 from .circuits.metrics import summarise as circuit_summary
 from .core import AnalysisMode
 from .dist.queue import JobQueue
-from .ta.store import AutomatonStore, default_store_dir
+from .ta.store import AutomatonStore
 from .ta.timbuk import save_timbuk
 
 __all__ = ["main", "build_parser"]
@@ -371,10 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "every automaton-store entry")
     cache.add_argument("--store-dir", default=None,
                        help="automaton store directory (default: "
+                            "<--cache-dir>/store, else "
                             "$AUTOQ_REPRO_CACHE_DIR/store or "
                             "~/.cache/autoq-repro/store)")
     cache.add_argument("--cache-dir", default=None,
-                       help="campaign result cache directory, reported by 'stats' "
+                       help="campaign result cache directory, reported by 'stats'; "
+                            "the store is its store/ subdirectory unless "
+                            "--store-dir says otherwise, as for 'campaign' "
                             "(default: $AUTOQ_REPRO_CACHE_DIR or "
                             "~/.cache/autoq-repro/campaign)")
     cache.add_argument("--max-bytes", type=int, default=None,
@@ -726,7 +730,8 @@ def _command_baselines(args) -> int:
 
 def _command_cache(args) -> int:
     """``cache stats`` / ``cache gc --max-bytes`` / ``cache clear``."""
-    store_dir = args.store_dir or default_store_dir()
+    # the store a campaign with the same --cache-dir/--store-dir would use
+    store_dir = resolve_store_dir(args.cache_dir or None, args.store_dir or None)
     if args.action == "gc" and args.max_bytes is None:
         return _fail(args, "invalid-request", "cache gc needs --max-bytes <target size>")
     if args.action == "stats":
@@ -1240,7 +1245,6 @@ def _command_serve(args) -> int:
     """``serve``: answer problem documents over HTTP from one warm runtime."""
     import signal
 
-    from .campaign import resolve_store_dir
     from .service import ServiceConfig, ServiceServer
 
     # a plain Session only attaches a store when one is named explicitly, but

@@ -59,8 +59,9 @@ class GateRuntime:
       tag/terms/bin/reduce pipeline;
     * the optional **cross-process store** (:mod:`repro.ta.store`) — a
       content-addressed on-disk tier shared by every process pointed at the
-      same directory, keyed by the renaming-invariant compact-form digest so
-      campaign pool workers and entirely separate runs agree on the keys.
+      same directory, keyed by the renaming-invariant digest of
+      :func:`repro.ta.store.fingerprint`, so campaign pool workers and
+      entirely separate runs agree on the keys.
       It holds composition-encoded gate results only.  Attach one with
       ``GateRuntime(store=open_store(directory))``
       (:func:`repro.ta.store.open_store`).

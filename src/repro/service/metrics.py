@@ -59,9 +59,6 @@ class ServiceMetrics:
         self.engine_analysis_seconds_total = 0.0
         self.campaign_jobs_total = 0
         self.sse_records_total = 0
-        #: distributed-fabric counters lifted from finished campaign results
-        #: (cells claimed/stolen/requeued, lease renewals)
-        self.fabric_totals: Dict[str, int] = {}
 
     # ------------------------------------------------------------- updates
     def request_started(self) -> None:
@@ -112,10 +109,6 @@ class ServiceMetrics:
         with self._lock:
             self.in_flight -= 1
 
-    #: CampaignResult fields folded into ``fabric_totals`` by observe_result
-    _FABRIC_FIELDS = ("cells_claimed", "cells_stolen", "cells_requeued",
-                      "lease_renewals")
-
     def observe_result(self, result) -> None:
         """Fold a finished result's engine numbers into the running totals."""
         statistics = getattr(result, "statistics", None)
@@ -129,10 +122,6 @@ class ServiceMetrics:
                 self.engine_analysis_seconds_total += analysis
             if jobs is not None:
                 self.campaign_jobs_total += jobs
-            for name in self._FABRIC_FIELDS:
-                value = getattr(result, name, None)
-                if value:
-                    self.fabric_totals[name] = self.fabric_totals.get(name, 0) + int(value)
 
     def record_streamed(self, count: int = 1) -> None:
         with self._lock:
@@ -191,12 +180,7 @@ class ServiceMetrics:
                 "# HELP repro_sse_records_total Campaign records streamed over SSE.",
                 "# TYPE repro_sse_records_total counter",
                 _sample("repro_sse_records_total", self.sse_records_total),
-                "# HELP repro_fabric_total Distributed-fabric counters from finished campaigns (cells claimed/stolen/requeued, lease renewals).",
-                "# TYPE repro_fabric_total counter",
             ]
-            for name in sorted(self.fabric_totals):
-                lines.append(_sample("repro_fabric_total",
-                                     self.fabric_totals[name], {"counter": name}))
         if runtime_snapshot is not None:
             memo = runtime_snapshot.get("memo") or {}
             lines += [

@@ -274,8 +274,7 @@ class DecisionDiagramSimulator:
                 self.apply_gate(self.apply_gate(state, Gate("cx", (a, b))), Gate("cx", (b, a))),
                 Gate("cx", (a, b)),
             )
-        matrix_name = {"cswap": "FREDKIN"}.get(gate.kind, gate.kind.upper())
-        matrix = gate_matrix(matrix_name)
+        matrix = gate_matrix(gate.kind)
         operands = gate.qubits
         arity = len(operands)
         num_qubits = state.num_qubits

@@ -23,27 +23,6 @@ if TYPE_CHECKING:
 
 __all__ = ["apply_gate_dense", "simulate_dense", "circuit_unitary", "state_fidelity"]
 
-_MATRIX_NAMES = {
-    "x": "X",
-    "y": "Y",
-    "z": "Z",
-    "h": "H",
-    "s": "S",
-    "sdg": "SDG",
-    "t": "T",
-    "tdg": "TDG",
-    "rx": "RX",
-    "ry": "RY",
-    "cx": "CX",
-    "cz": "CZ",
-    "cs": "CS",
-    "csdg": "CSDG",
-    "ct": "CT",
-    "ctdg": "CTDG",
-    "ccx": "CCX",
-    "cswap": "FREDKIN",
-}
-
 
 def _gate_array(gate: Gate) -> np.ndarray:
     import numpy as np
@@ -52,7 +31,7 @@ def _gate_array(gate: Gate) -> np.ndarray:
         return np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-    return matrix_to_complex(gate_matrix(_MATRIX_NAMES[gate.kind]))
+    return matrix_to_complex(gate_matrix(gate.kind))
 
 
 def apply_gate_dense(vector: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:

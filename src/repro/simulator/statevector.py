@@ -20,28 +20,6 @@ from ..states import QuantumState
 
 __all__ = ["StateVectorSimulator", "simulate_circuit", "simulate_basis_states"]
 
-#: mapping from our gate kinds to the matrix names in repro.algebraic.matrices
-_MATRIX_NAMES = {
-    "x": "X",
-    "y": "Y",
-    "z": "Z",
-    "h": "H",
-    "s": "S",
-    "sdg": "SDG",
-    "t": "T",
-    "tdg": "TDG",
-    "rx": "RX",
-    "ry": "RY",
-    "cx": "CX",
-    "cz": "CZ",
-    "cs": "CS",
-    "csdg": "CSDG",
-    "ct": "CT",
-    "ctdg": "CTDG",
-    "ccx": "CCX",
-    "cswap": "FREDKIN",
-}
-
 
 class StateVectorSimulator:
     """Applies circuits to exact sparse quantum states using matrix semantics."""
@@ -56,7 +34,7 @@ class StateVectorSimulator:
                 swapped[a], swapped[b] = swapped[b], swapped[a]
                 result[tuple(swapped)] = result[tuple(swapped)] + amplitude
             return result
-        matrix = gate_matrix(_MATRIX_NAMES[gate.kind])
+        matrix = gate_matrix(gate.kind)
         operands = gate.qubits
         arity = len(operands)
         result = QuantumState(state.num_qubits)

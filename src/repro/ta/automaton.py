@@ -32,7 +32,6 @@ __all__ = [
     "Symbol",
     "InternalTransition",
     "TreeAutomaton",
-    "CompactForm",
     "make_symbol",
     "symbol_qubit",
     "symbol_tags",
@@ -79,50 +78,11 @@ def reduce_cache_stats() -> Dict[str, int]:
     return {"size": 0, "hits": 0, "misses": 0}
 
 
-class CompactForm:
-    """The canonical flat form of a :class:`TreeAutomaton`.
-
-    States are renumbered to contiguous ids ``0..m-1`` (by ascending original
-    id, so structurally identical automata built the same way get identical
-    forms) and transitions are stored per compact state id.  ``key`` is the
-    automaton's full structural signature: a hashable tuple that two automata
-    share iff they are identical up to state renaming along the same order.
-    """
-
-    __slots__ = ("num_qubits", "num_states", "roots", "to_original",
-                 "internal", "leaves", "key", "_digest")
-
-    def __init__(self, automaton: "TreeAutomaton"):
-        ordered = sorted(automaton.states)
-        index = {old: new for new, old in enumerate(ordered)}
-        self.num_qubits = automaton.num_qubits
-        self.num_states = len(ordered)
-        self.roots: Tuple[int, ...] = tuple(sorted(index[root] for root in automaton.roots))
-        self.to_original: Tuple[int, ...] = tuple(ordered)
-        internal: List[Tuple[InternalTransition, ...]] = [()] * len(ordered)
-        for parent, transitions in automaton.internal.items():
-            internal[index[parent]] = tuple(
-                (symbol, index[left], index[right]) for symbol, left, right in transitions
-            )
-        self.internal: Tuple[Tuple[InternalTransition, ...], ...] = tuple(internal)
-        self.leaves: Dict[int, AlgebraicNumber] = {
-            index[state]: amplitude for state, amplitude in automaton.leaves.items()
-        }
-        self.key: tuple = (
-            self.num_qubits,
-            self.roots,
-            self.internal,
-            tuple(sorted(self.leaves.items(), key=lambda item: item[0])),
-        )
-        #: canonical content digest, filled lazily by repro.ta.store.fingerprint
-        self._digest: Optional[str] = None
-
-
 class TreeAutomaton:
     """A (nondeterministic, finite) tree automaton encoding quantum-state sets."""
 
     __slots__ = ("num_qubits", "roots", "internal", "leaves", "_max_state", "_states",
-                 "_num_transitions", "_depths", "_compact", "_reduced", "_skey", "_by_qubit",
+                 "_num_transitions", "_depths", "_digest", "_reduced", "_skey", "_by_qubit",
                  "_pair_index")
 
     def __init__(
@@ -144,7 +104,8 @@ class TreeAutomaton:
         self._states: Optional[FrozenSet[int]] = None
         self._num_transitions: Optional[int] = None
         self._depths: Optional[object] = None
-        self._compact: Optional[CompactForm] = None
+        #: content digest, filled lazily by repro.ta.store.fingerprint
+        self._digest: Optional[str] = None
         self._reduced = False
         self._skey: Optional[tuple] = None
         self._by_qubit: Optional[Dict[int, Tuple[Tuple[int, int, int], ...]]] = None
@@ -176,7 +137,7 @@ class TreeAutomaton:
         self._states = None
         self._num_transitions = None
         self._depths = None
-        self._compact = None
+        self._digest = None
         self._reduced = False
         self._skey = None
         self._by_qubit = None
@@ -262,16 +223,10 @@ class TreeAutomaton:
             self._max_state = max(states) if states else -1
         return self._max_state + 1
 
-    def compact(self) -> CompactForm:
-        """The canonical flat form (contiguous ids, per-symbol grouping; cached)."""
-        if self._compact is None:
-            self._compact = CompactForm(self)
-        return self._compact
-
     def structure_key(self) -> tuple:
         """A hashable fingerprint of the exact structure (cached).
 
-        Unlike :meth:`compact`, state ids are *not* renumbered: the key is the
+        Unlike :meth:`relabelled`, state ids are *not* renumbered: the key is the
         raw ``(roots, internal, leaves)`` content in insertion order, which is
         deterministic for a given construction history.  Two automata built by
         the same transformer sequence over equal inputs therefore get equal
@@ -290,9 +245,10 @@ class TreeAutomaton:
     def _state_depths(self) -> Optional[Dict[int, int]]:
         """``state -> depth`` for every root-reachable state (cached).
 
-        Returns ``None`` when some state is reachable at two different depths,
-        i.e. the automaton violates the layering the gate transformers assume;
-        callers then fall back to depth-agnostic algorithms.
+        Returns ``None`` when some state is reachable at two different depths
+        (a cycle makes it so too), i.e. the automaton violates the layering
+        every automaton of the framework has; :meth:`validate` and
+        :meth:`reduce` refuse such an automaton.
         """
         if self._depths is None:
             depths: Dict[int, int] = {}
@@ -359,26 +315,17 @@ class TreeAutomaton:
         overlap = set(self.internal) & set(self.leaves)
         if overlap:
             raise ValueError(f"states are both internal and leaf: {sorted(overlap)[:5]}")
-        depth_of: Dict[int, int] = {}
-        queue: List[Tuple[int, int]] = [(root, 0) for root in self.roots]
-        while queue:
-            state, depth = queue.pop()
-            if state in depth_of:
-                if depth_of[state] != depth:
-                    raise ValueError(f"state {state} appears at depths {depth_of[state]} and {depth}")
-                continue
-            depth_of[state] = depth
-            if state in self.leaves:
-                if depth != self.num_qubits:
-                    raise ValueError(f"leaf state {state} reachable at depth {depth} != {self.num_qubits}")
-                continue
-            for symbol, left, right in self.internal.get(state, ()):
+        depths = self._state_depths()
+        if depths is None:
+            raise ValueError("a state is reachable at two depths (or lies on a cycle)")
+        for state, depth in depths.items():
+            if state in self.leaves and depth != self.num_qubits:
+                raise ValueError(f"leaf state {state} reachable at depth {depth} != {self.num_qubits}")
+            for symbol, _left, _right in self.internal.get(state, ()):
                 if symbol_qubit(symbol) != depth:
                     raise ValueError(
                         f"state {state} at depth {depth} has a transition on qubit {symbol_qubit(symbol)}"
                     )
-                queue.append((left, depth + 1))
-                queue.append((right, depth + 1))
 
     # ---------------------------------------------------------------- algebra
     def relabelled(self) -> "TreeAutomaton":
@@ -413,30 +360,27 @@ class TreeAutomaton:
         return active_backend().remove_useless(self)
 
     def reduce(self) -> "TreeAutomaton":
-        """Merge states with identical outgoing behaviour until a fixpoint.
+        """Merge states with identical outgoing behaviour.
 
         This is the paper's "lightweight simulation-based reduction": two
         states are merged when they have exactly the same successor transitions
         (after previous merges), which is a congruence refinement computed
-        bottom-up.  Useless states are removed first and duplicates pruned.
+        bottom-up.  Useless states are removed first, then one layered sweep
+        merges the rest; an automaton that is not layered (a state reachable
+        at two depths) is refused with :class:`ValueError`.
 
         The result is a pure function of this automaton and nothing here
         caches it: an automaton ``reduce()`` returned answers a second
         ``reduce()`` with itself, and the gate memo of a
         :class:`~repro.core.engine.GateRuntime` keeps reduced gate results.
-        The sweeps run through the kernel instance (:mod:`repro.ta.kernel`);
-        the layered/fixpoint choice stays here.
+        Both sweeps run through the kernel instance (:mod:`repro.ta.kernel`).
         """
         if self._reduced:
             return self
         from .kernel import active_backend
 
         backend = active_backend()
-        automaton = backend.remove_useless(self)
-        if automaton._state_depths() is not None:
-            result = backend.reduce_layered(automaton)
-        else:
-            result = backend.reduce_fixpoint(automaton)
+        result = backend.reduce_layered(backend.remove_useless(self))
         result._reduced = True
         return result
 

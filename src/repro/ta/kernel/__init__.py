@@ -1,7 +1,7 @@
 """The TA kernel: the operations every gate application funnels through.
 
 ``binary_operation`` (the Algorithm 9 product construction),
-``remove_useless`` and the two ``reduce`` sweeps are implemented once, in
+``remove_useless`` and the layered ``reduce`` sweep are implemented once, in
 pure Python, in :mod:`repro.ta.kernel.reference`.  Callers
 (:meth:`TreeAutomaton.remove_useless <repro.ta.automaton.TreeAutomaton.remove_useless>`,
 :meth:`TreeAutomaton.reduce <repro.ta.automaton.TreeAutomaton.reduce>` and

@@ -62,7 +62,11 @@ def dumps(automaton: TreeAutomaton) -> str:
 
 
 def loads(text: str) -> TreeAutomaton:
-    """Parse an automaton from the text format produced by :func:`dumps`."""
+    """Parse an automaton from the text format produced by :func:`dumps`.
+
+    Raises :class:`ValueError` naming the offending line on any malformed
+    line, a short one included.
+    """
     num_qubits = None
     roots: List[int] = []
     leaves: Dict[int, AlgebraicNumber] = {}
@@ -73,23 +77,28 @@ def loads(text: str) -> TreeAutomaton:
             continue
         parts = line.split()
         keyword = parts[0]
-        if keyword == "qubits":
-            num_qubits = int(parts[1])
-        elif keyword == "roots":
-            roots = [int(p) for p in parts[1:]]
-        elif keyword == "leaf":
-            state = int(parts[1])
-            a, b, c, d, k = (int(p) for p in parts[2:7])
-            leaves[state] = AlgebraicNumber(a, b, c, d, k)
-        elif keyword == "trans":
-            parent = int(parts[1])
-            if not parts[2].startswith("x"):
-                raise ValueError(f"bad symbol in line: {raw_line!r}")
-            qubit = int(parts[2][1:])
-            left, right = int(parts[3]), int(parts[4])
-            internal.setdefault(parent, []).append((make_symbol(qubit), left, right))
-        else:
-            raise ValueError(f"unknown keyword {keyword!r} in line {raw_line!r}")
+        try:
+            if keyword == "qubits":
+                num_qubits = int(parts[1])
+            elif keyword == "roots":
+                roots = [int(p) for p in parts[1:]]
+            elif keyword == "leaf":
+                state = int(parts[1])
+                a, b, c, d, k = (int(p) for p in parts[2:7])
+                leaves[state] = AlgebraicNumber(a, b, c, d, k)
+            elif keyword == "trans":
+                parent = int(parts[1])
+                if not parts[2].startswith("x"):
+                    raise ValueError(f"bad symbol {parts[2]!r}")
+                qubit = int(parts[2][1:])
+                left, right = int(parts[3]), int(parts[4])
+                internal.setdefault(parent, []).append((make_symbol(qubit), left, right))
+            else:
+                raise ValueError(f"unknown keyword {keyword!r}")
+        except IndexError:
+            raise ValueError(f"too few fields in line {raw_line!r}") from None
+        except ValueError as error:
+            raise ValueError(f"{error} in line {raw_line!r}") from None
     if num_qubits is None:
         raise ValueError("missing 'qubits' declaration")
     return TreeAutomaton(num_qubits, roots, internal, leaves)

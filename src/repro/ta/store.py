@@ -10,9 +10,9 @@ amortises automaton construction across structurally identical inputs.
 
 Design points:
 
-* **Content addressing.**  :func:`fingerprint` digests the *compact* form of
-  an automaton (:meth:`~repro.ta.automaton.TreeAutomaton.compact`), so the
-  key is invariant under state renaming along the canonical order: two
+* **Content addressing.**  :func:`fingerprint` digests the *relabelled* form
+  of an automaton (:meth:`~repro.ta.automaton.TreeAutomaton.relabelled`), so
+  the key is invariant under state renaming along the canonical order: two
   workers that built the same automaton through different allocation
   histories still agree on the digest.  Gate-memo entries are keyed by
   :meth:`AutomatonStore.gate_key` over ``(input digest, gate, mode, reduce
@@ -160,23 +160,24 @@ def _refuse_url(location: str) -> None:
 
 
 def fingerprint(automaton: TreeAutomaton) -> str:
-    """Canonical content digest of an automaton (cached on its compact form).
+    """Canonical content digest of an automaton (cached on the automaton).
 
-    The digest is computed over the compact form — contiguous state ids in
-    the canonical order, transitions per compact id, sorted leaves — so it is
-    stable across processes and under state renaming, unlike the raw
-    ``structure_key()``.  The digest is cached on the instance's
-    :class:`~repro.ta.automaton.CompactForm`, so repeated fingerprinting of
-    the same instance is one attribute read.
+    The digest is computed over :meth:`~repro.ta.automaton.TreeAutomaton.relabelled`
+    — contiguous state ids ``0..m-1`` in ascending original order, the
+    symbols in first-seen order, transitions per id, sorted leaves — so it is
+    stable across processes and under state renaming along that order,
+    unlike the raw ``structure_key()``.  Only the 64-hex digest is cached on
+    the instance, so repeated fingerprinting of it is one attribute read and
+    the renumbered copy is dropped as soon as the digest exists.
     """
-    compact = automaton.compact()
-    if compact._digest is None:  # noqa: SLF001 - CompactForm reserves the slot for us
+    if automaton._digest is None:  # noqa: SLF001 - TreeAutomaton reserves the slot for us
+        canonical = automaton.relabelled()
         symbol_index: Dict[tuple, int] = {}
         symbols: List[Tuple[int, Tuple[int, ...]]] = []
         internal = []
-        for transitions in compact.internal:
+        for state in range(automaton.num_states):
             encoded = []
-            for symbol, left, right in transitions:
+            for symbol, left, right in canonical.internal.get(state, ()):
                 index = symbol_index.get(symbol)
                 if index is None:
                     index = symbol_index.setdefault(symbol, len(symbols))
@@ -185,20 +186,20 @@ def fingerprint(automaton: TreeAutomaton) -> str:
             internal.append(encoded)
         material = json.dumps(
             {
-                "num_qubits": compact.num_qubits,
-                "roots": list(compact.roots),
+                "num_qubits": canonical.num_qubits,
+                "roots": sorted(canonical.roots),
                 "symbols": [[qubit, list(tags)] for qubit, tags in symbols],
                 "internal": internal,
                 "leaves": sorted(
                     [state, *amplitude.as_tuple()]
-                    for state, amplitude in compact.leaves.items()
+                    for state, amplitude in canonical.leaves.items()
                 ),
             },
             sort_keys=True,
             separators=(",", ":"),
         )
-        compact._digest = hashlib.sha256(material.encode("utf-8")).hexdigest()  # noqa: SLF001
-    return compact._digest  # noqa: SLF001
+        automaton._digest = hashlib.sha256(material.encode("utf-8")).hexdigest()  # noqa: SLF001
+    return automaton._digest  # noqa: SLF001
 
 
 class _EntryMissing(Exception):

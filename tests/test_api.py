@@ -86,6 +86,12 @@ class TestConditionSpec:
             ConditionSpec(kind="zero", value="00")  # takes none
         with pytest.raises(ValueError):
             ConditionSpec(kind="basis", value="012")  # malformed bits
+        with pytest.raises(ValueError):
+            ConditionSpec(kind="ta", value="qubits\n")  # short line
+        with pytest.raises(ValueError):  # leaf state 3 at depths 1 and 2
+            ConditionSpec(kind="ta", value="qubits 2\nroots 0\nleaf 3 1 0 0 0 0\n"
+                                           "leaf 4 0 0 0 0 0\ntrans 0 x0 1 3\n"
+                                           "trans 1 x1 3 4\n")
 
     def test_zero_and_basis_resolve(self):
         from repro.states import QuantumState

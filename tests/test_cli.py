@@ -899,6 +899,27 @@ class TestCacheCommand:
         assert payload["kind"] == "cache-stats"
         assert payload["data"]["store"]["entries"] > 0
 
+    def test_cache_dir_alone_locates_the_campaign_store(self, tmp_path, capsys, monkeypatch):
+        from repro.ta import AutomatonStore
+
+        # a default store elsewhere must not be the one reported or cleared
+        monkeypatch.setenv("AUTOQ_REPRO_CACHE_DIR", str(tmp_path / "default"))
+        cache_dir = str(tmp_path / "cache")
+        store_dir = os.path.join(cache_dir, "store")
+        assert main(["campaign", "--family", "bv", "--size", "3", "--mutants", "3",
+                     "--cache-dir", cache_dir,
+                     "--report", str(tmp_path / "report.jsonl")]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--json", "--cache-dir", cache_dir]) == 0
+        stats = json.loads(capsys.readouterr().out)["data"]["store"]
+        assert stats["directory"] == store_dir
+        assert stats["entries"] > 0
+        assert main(["cache", "clear", "--json", "--cache-dir", cache_dir]) == 0
+        cleared = json.loads(capsys.readouterr().out)["data"]
+        assert cleared["store"] == store_dir
+        assert cleared["removed_entries"] == stats["entries"]
+        assert AutomatonStore.disk_stats(store_dir)["entries"] == 0
+
     def test_gc_requires_max_bytes(self, tmp_path, capsys):
         assert main(["cache", "gc", "--store-dir", str(tmp_path / "store")]) == 2
         assert "--max-bytes" in capsys.readouterr().err

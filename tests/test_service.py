@@ -19,6 +19,7 @@ from repro.api import (
     CampaignProblem,
     CampaignResult,
     CircuitSource,
+    ConditionSpec,
     ErrorResult,
     SessionConfig,
     VerifyProblem,
@@ -110,6 +111,24 @@ class TestServiceCore:
         assert status == 400
         validate_document(payload, kind="error")
         assert payload["error"] == "invalid-request"
+
+    def test_non_layered_inline_condition_is_a_400(self, service):
+        # leaf state 3 is reachable at depths 1 and 2; analysing it crashed
+        # the request (500 "KeyError: 3") instead of refusing it
+        document = VerifyProblem(
+            circuit=CircuitSource(qasm='OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                                       'qreg q[2];\nh q[0];\n'),
+            precondition=ConditionSpec(kind="all-basis"),
+            postcondition=ConditionSpec(kind="all-basis"),
+        ).to_dict()
+        document["precondition"] = {"kind": "ta", "value": (
+            "qubits 2\nroots 0\nleaf 3 1 0 0 0 0\nleaf 4 0 0 0 0 0\n"
+            "trans 0 x0 1 3\ntrans 1 x1 3 4\n")}
+        status, payload = service.run_document(document)
+        assert status == 400
+        validate_document(payload, kind="error")
+        assert payload["error"] == "invalid-request"
+        assert "two depths" in payload["message"]
 
     def test_admission_budget_answers_429(self, monkeypatch):
         release = threading.Event()

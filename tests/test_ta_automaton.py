@@ -21,6 +21,16 @@ def bell_state() -> QuantumState:
     return QuantumState(2, {(0, 0): SQRT2_INV, (1, 1): SQRT2_INV})
 
 
+def two_depth_automaton() -> TreeAutomaton:
+    """A 2-qubit automaton whose leaf state 3 is reachable at depths 1 and 2."""
+    return TreeAutomaton(
+        2,
+        {0},
+        {0: [(make_symbol(0), 1, 3)], 1: [(make_symbol(1), 3, 4)]},
+        {3: ONE, 4: ZERO},
+    )
+
+
 class TestSymbols:
     def test_make_and_project(self):
         symbol = make_symbol(3, (7,))
@@ -69,14 +79,15 @@ class TestBasicProperties:
         assert basis_state_ta(2, "01") != basis_state_ta(2, "10")
 
     def test_validate_rejects_misplaced_leaf(self):
-        broken = TreeAutomaton(
+        misplaced = TreeAutomaton(
             2,
             {0},
             {0: [(make_symbol(0), 1, 1)]},
             {1: ONE},  # leaf at depth 1 instead of 2
         )
-        with pytest.raises(ValueError):
-            broken.validate()
+        for broken in (misplaced, two_depth_automaton()):
+            with pytest.raises(ValueError):
+                broken.validate()
 
     def test_validate_rejects_state_that_is_both_leaf_and_internal(self):
         broken = TreeAutomaton(
@@ -139,6 +150,11 @@ class TestReductionAndTransformations:
         reduced = duplicated.reduce()
         assert reduced.enumerate_states() == [QuantumState.basis_state(3, "000")]
         assert reduced.num_states <= basis_state_ta(3, "000").num_states
+
+    def test_reduce_refuses_a_non_layered_automaton(self):
+        # leaf state 3 sits at depths 1 and 2: there is no layer to sweep
+        with pytest.raises(ValueError, match="non-layered"):
+            two_depth_automaton().reduce()
 
     def test_reduce_preserves_language(self):
         states = [QuantumState.basis_state(3, i) for i in (0, 3, 5)]
@@ -215,20 +231,7 @@ class TestConstructionHelpers:
 
 
 class TestCompactFormAndCaches:
-    """The kernel substrate: compact form, structure keys, cached indexes."""
-
-    def test_compact_form_has_contiguous_ids(self):
-        automaton = basis_state_ta(3, "010").shifted(100)
-        compact = automaton.compact()
-        assert compact.num_states == automaton.num_states
-        assert set(compact.leaves) <= set(range(compact.num_states))
-        referenced = {compact.roots[0]}
-        for parent, transitions in enumerate(compact.internal):
-            for _symbol, left, right in transitions:
-                referenced.update((parent, left, right))
-        assert referenced == set(range(compact.num_states))
-        # compact ids map back to the original (shifted) state ids
-        assert set(compact.to_original) == set(automaton.states)
+    """The kernel substrate: structure keys and cached indexes."""
 
     def test_pair_index_groups_transitions(self):
         automaton = all_basis_states_ta(2)

@@ -56,3 +56,9 @@ class TestSerialization:
     def test_bad_symbol_rejected(self):
         with pytest.raises(ValueError):
             serialization.loads("qubits 1\nroots 0\ntrans 0 z0 1 2\n")
+
+    def test_short_line_is_a_value_error_naming_the_line(self):
+        with pytest.raises(ValueError, match="'qubits'"):
+            serialization.loads("qubits\n")
+        with pytest.raises(ValueError, match="'trans 0 x0 1'"):
+            serialization.loads("qubits 1\nroots 0\ntrans 0 x0 1\n")
