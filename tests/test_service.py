@@ -113,8 +113,8 @@ class TestServiceCore:
         assert payload["error"] == "invalid-request"
 
     def test_non_layered_inline_condition_is_a_400(self, service):
-        # leaf state 3 is reachable at depths 1 and 2; analysing it crashed
-        # the request (500 "KeyError: 3") instead of refusing it
+        # leaf state 3 is reachable at depths 1 and 2, which no analysis
+        # handles: admission refuses it rather than the analysis crashing
         document = VerifyProblem(
             circuit=CircuitSource(qasm='OPENQASM 2.0;\ninclude "qelib1.inc";\n'
                                        'qreg q[2];\nh q[0];\n'),

@@ -134,8 +134,8 @@ class TestFingerprint:
         assert store_module.fingerprint(automaton) is first
 
     def test_golden_digests(self):
-        # stores written by earlier versions must keep hitting: these digests
-        # were recorded before the digest moved onto relabelled()
+        # entries already on disk are keyed by these digests, so a change to
+        # the digest material would make every existing store miss
         golden = [
             (all_basis_states_ta(3),
              "575b219103fbc1f7bbc52ac86935423a644e5e78021912276f791f42af0b3234"),
