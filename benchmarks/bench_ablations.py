@@ -3,8 +3,7 @@
 * lightweight reduction after each gate — on vs. off,
 * Hybrid vs. Composition engine settings on the same workload,
 * incremental bug-hunting strategy vs. starting from the full basis-state set,
-* lightweight (same-successors) reduction vs. the full downward-simulation
-  reduction (the paper's footnote 6 leaves the latter as future work),
+* sparse-map vs. decision-diagram state representation in the simulator,
 * the stabilizer-tableau baseline vs. the TA-based check on a Clifford bug.
 
 These are not rows of a paper table; they quantify the paper's qualitative
@@ -27,7 +26,7 @@ from repro.core import (
     run_circuit,
     verify_triple,
 )
-from repro.ta import all_basis_states_ta, check_equivalence, simulation_reduce
+from repro.ta import all_basis_states_ta
 
 
 class TestReductionAblation:
@@ -95,34 +94,6 @@ class TestBugHuntStrategyAblation:
         )
         benchmark.extra_info.update({"strategy": "full-basis", "non_equivalent": result.non_equivalent})
         assert result.non_equivalent
-
-
-class TestSimulationReductionAblation:
-    """Lightweight same-successors reduction vs. the full downward-simulation reduction."""
-
-    def _output_automaton(self):
-        bench = grover_single_benchmark(3)
-        return run_circuit(bench.circuit, bench.precondition, reduce_after_each_gate=True).output
-
-    def test_lightweight_reduction(self, benchmark):
-        automaton = self._output_automaton()
-        reduced = benchmark.pedantic(automaton.reduce, rounds=1, iterations=1)
-        benchmark.extra_info.update(
-            {"reduction": "lightweight", "states": reduced.num_states,
-             "transitions": reduced.num_transitions}
-        )
-        print(f"\n[reduction=lightweight] {reduced.size_summary()}")
-
-    def test_full_simulation_reduction(self, benchmark):
-        automaton = self._output_automaton()
-        reduced = benchmark.pedantic(simulation_reduce, args=(automaton,), rounds=1, iterations=1)
-        benchmark.extra_info.update(
-            {"reduction": "downward-simulation", "states": reduced.num_states,
-             "transitions": reduced.num_transitions}
-        )
-        print(f"\n[reduction=downward-simulation] {reduced.size_summary()}")
-        assert check_equivalence(automaton, reduced).equivalent
-        assert reduced.num_states <= automaton.num_states
 
 
 class TestSimulatorRepresentationAblation:

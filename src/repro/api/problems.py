@@ -16,7 +16,7 @@ Problems are pure data: they validate their shape on construction and
 serialize losslessly through the versioned JSON schema
 (:mod:`repro.api.schema`), so a request can be built on one machine and run
 by a :class:`repro.api.Session` on another.  Runtime configuration (worker
-count, cache/store directories, profiling) deliberately does NOT live here —
+count, cache/store directories, fault plan) deliberately does NOT live here —
 that is the session's job.
 """
 
@@ -27,6 +27,7 @@ from typing import ClassVar, Dict, Optional, Tuple
 
 from ..benchgen import build_family
 from ..benchgen.common import VerificationBenchmark
+from ..benchgen.families import resolve_family, validate_family_size
 from ..circuits import Circuit, load_qasm_file, parse_qasm, to_qasm
 from ..circuits.mutations import MUTATION_OPERATORS
 from ..core.engine import AnalysisMode
@@ -45,9 +46,24 @@ __all__ = [
     "SimulateProblem",
     "CampaignProblem",
     "FuzzProblem",
+    "InvalidProblem",
 ]
 
 import json
+
+
+class InvalidProblem(ValueError):
+    """A well-formed problem whose inputs are found bad only when resolved:
+    QASM that does not parse, a file that cannot be read, or widths that do
+    not match.  Front ends answer it as an invalid request, not a crash."""
+
+
+def _check_family(family: str, size: Optional[int]) -> None:
+    """Check a family name (and size, when given) against the registry
+    without building the family."""
+    resolve_family(family)
+    if size is not None:
+        validate_family_size(family, size)
 
 
 @dataclass(frozen=True)
@@ -73,6 +89,8 @@ class CircuitSource:
             )
         if self.size is not None and self.family is None:
             raise ValueError("size is only meaningful with a family source")
+        if self.family is not None:
+            _check_family(self.family, self.size)
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CircuitSource":
@@ -88,11 +106,16 @@ class CircuitSource:
         return cls(family=family, size=size)
 
     def resolve(self) -> Tuple[Circuit, Optional[VerificationBenchmark]]:
-        """Materialise the circuit (and the benchmark, for family sources)."""
-        if self.qasm is not None:
-            return parse_qasm(self.qasm), None
-        if self.path is not None:
-            return load_qasm_file(self.path), None
+        """Materialise the circuit (and the benchmark, for family sources);
+        :class:`InvalidProblem` when the QASM does not parse or the file
+        cannot be read."""
+        try:
+            if self.qasm is not None:
+                return parse_qasm(self.qasm), None
+            if self.path is not None:
+                return load_qasm_file(self.path), None
+        except (OSError, ValueError) as error:
+            raise InvalidProblem(f"cannot load the circuit: {error}") from error
         benchmark = build_family(self.family, self.size)
         return benchmark.circuit, benchmark
 
@@ -154,14 +177,23 @@ class ConditionSpec:
         return cls(kind="ta", value=serialization.dumps(automaton))
 
     def resolve(self, num_qubits: int) -> TreeAutomaton:
-        """Materialise the automaton for a circuit of ``num_qubits`` qubits."""
+        """Materialise the automaton for a circuit of ``num_qubits`` qubits;
+        :class:`InvalidProblem` when a ``basis`` or ``ta`` value has another
+        width."""
         if self.kind == "zero":
             return zero_state_precondition(num_qubits)
-        if self.kind == "basis":
-            return basis_state_ta(num_qubits, self.value)
         if self.kind == "all-basis":
             return all_basis_states_ta(num_qubits)
-        return serialization.loads(self.value)
+        if self.kind == "basis":
+            automaton = basis_state_ta(len(self.value), self.value)
+        else:
+            automaton = serialization.loads(self.value)
+        if automaton.num_qubits != num_qubits:
+            raise InvalidProblem(
+                f"{self.kind} condition has {automaton.num_qubits} qubits "
+                f"but the circuit has {num_qubits}"
+            )
+        return automaton
 
     def to_dict(self) -> Dict:
         return {"kind": self.kind, "value": self.value}
@@ -368,6 +400,7 @@ class CampaignProblem(Problem):
     def __post_init__(self) -> None:
         if not self.family:
             raise ValueError("CampaignProblem needs a family name")
+        _check_family(self.family, self.size)
         if self.mutants < 0:
             raise ValueError("mutants must be non-negative")
         if self.mode not in AnalysisMode.ALL:

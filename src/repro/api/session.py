@@ -43,6 +43,7 @@ from .problems import (
     CampaignProblem,
     EquivalenceProblem,
     FuzzProblem,
+    InvalidProblem,
     Problem,
     SimulateProblem,
     VerifyProblem,
@@ -58,6 +59,14 @@ from .results import (
 )
 
 __all__ = ["SessionConfig", "Session"]
+
+
+def _same_width(first, second) -> None:
+    """:class:`InvalidProblem` unless two circuits have one width."""
+    if first.num_qubits != second.num_qubits:
+        raise InvalidProblem(
+            f"the circuits have {first.num_qubits} and {second.num_qubits} qubits"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,10 +86,6 @@ class SessionConfig:
     store_dir: Optional[str] = None
     #: worker processes for campaign problems (1 = run in-process)
     workers: int = 1
-    #: front-ends render per-phase timing breakdowns when set (the engine
-    #: always *records* phase timings into ``EngineStatistics``; this flag is
-    #: the one switch front-ends sharing a session consult to display them)
-    profile: bool = False
     #: campaign-matrix manifest directory (None = default)
     manifest_dir: Optional[str] = None
     #: campaign-matrix per-cell report directory
@@ -175,6 +180,7 @@ class Session:
     def _run_equivalence(self, problem: EquivalenceProblem) -> EquivalenceResult:
         first, _ = problem.first.resolve()
         second, _ = problem.second.resolve()
+        _same_width(first, second)
         if problem.inputs is not None:
             inputs = problem.inputs.resolve(first.num_qubits)
         else:
@@ -196,6 +202,7 @@ class Session:
         mutation = None
         if problem.candidate is not None:
             candidate, _ = problem.candidate.resolve()
+            _same_width(reference, candidate)
         else:
             candidate, mutation = inject_random_gate(reference, seed=problem.inject_seed)
         hunter = IncrementalBugHunter(
@@ -221,6 +228,11 @@ class Session:
         circuit, _ = problem.circuit.resolve()
         if problem.input_bits is None:
             initial = QuantumState.zero_state(circuit.num_qubits)
+        elif len(problem.input_bits) != circuit.num_qubits:
+            raise InvalidProblem(
+                f"input {problem.input_bits!r} has {len(problem.input_bits)} bits "
+                f"but the circuit has {circuit.num_qubits} qubits"
+            )
         else:
             initial = QuantumState.basis_state(circuit.num_qubits, problem.input_bits)
         output = StateVectorSimulator().run(circuit, initial)

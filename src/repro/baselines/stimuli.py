@@ -57,18 +57,14 @@ class RandomStimuliChecker:
     miss bugs that the TA-based approach catches.
     """
 
-    def __init__(self, num_stimuli: int = 16, seed: Optional[int] = None,
-                 include_zero_state: bool = True, timeout_seconds: Optional[float] = None):
+    def __init__(self, num_stimuli: int = 16, seed: Optional[int] = None):
         self.num_stimuli = num_stimuli
         self.seed = seed
-        self.include_zero_state = include_zero_state
-        self.timeout_seconds = timeout_seconds
 
     def _stimuli(self, num_qubits: int) -> List[Tuple[int, ...]]:
+        """The all-zeros input, then distinct random basis inputs."""
         rng = random.Random(self.seed)
-        stimuli: List[Tuple[int, ...]] = []
-        if self.include_zero_state:
-            stimuli.append((0,) * num_qubits)
+        stimuli: List[Tuple[int, ...]] = [(0,) * num_qubits]
         while len(stimuli) < self.num_stimuli:
             candidate = tuple(rng.randint(0, 1) for _ in range(num_qubits))
             if candidate not in stimuli:
@@ -93,6 +89,4 @@ class RandomStimuliChecker:
                 return StimuliResult(
                     StimuliVerdict.NOT_EQUAL, tried, time.perf_counter() - start, witness_input=bits
                 )
-            if self.timeout_seconds is not None and time.perf_counter() - start > self.timeout_seconds:
-                break
         return StimuliResult(StimuliVerdict.PROBABLY_EQUAL, tried, time.perf_counter() - start)

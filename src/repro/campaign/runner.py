@@ -14,7 +14,9 @@ SIGKILL'd, OOM-killed, or crashed by the ``worker.cell`` fault site — the
 in-flight head-of-line job is re-submitted (bounded by
 ``CampaignConfig.max_job_retries``) and its ``retried`` count lands in the
 JSONL record.  A job that exhausts its retries becomes a synthetic
-``error`` record instead of aborting the sweep.
+``error`` record instead of aborting the sweep.  A one-worker campaign runs
+the same dispatch loop over an in-process stand-in for the pool, so both
+paths keep one retry count.
 """
 
 from __future__ import annotations
@@ -284,6 +286,34 @@ class CampaignSummary:
         return self
 
 
+class _InProcessPool:
+    """The in-process stand-in for a worker pool.
+
+    ``apply_async`` runs nothing: the handle it returns runs the job on the
+    campaign's runtime when the dispatch loop calls its ``get``, so jobs run
+    one at a time in order and an injected ``worker.cell`` raise takes the
+    pool's bounded-retry path.  (A ``crash-process`` fault here kills the
+    campaign itself — that kind only makes sense for pool workers.)
+    """
+
+    def __init__(self, runtime: GateRuntime):
+        self.runtime = runtime
+
+    def apply_async(self, func, args) -> "_InProcessCall":
+        return _InProcessCall(func, (*args, self.runtime))
+
+
+class _InProcessCall:
+    """A deferred call; ``get`` runs it (``timeout`` is accepted and unused)."""
+
+    def __init__(self, func, args):
+        self.func = func
+        self.args = args
+
+    def get(self, timeout: Optional[float] = None) -> Dict:
+        return self.func(*self.args)
+
+
 class Campaign:
     """Builds and executes the job fleet described by a :class:`CampaignConfig`."""
 
@@ -410,7 +440,7 @@ class Campaign:
                 if pool is not None and len(misses) > 1:
                     drain(self._pool_results(pool, misses))
                 elif config.workers == 1 or len(misses) <= 1:
-                    drain(self._inprocess_results(misses, runtime))
+                    drain(self._pool_results(_InProcessPool(runtime), misses))
                 else:
                     with worker_pool(min(config.workers, len(misses)), store_dir,
                                      config.fault_plan) as own_pool:
@@ -457,33 +487,10 @@ class Campaign:
     #: enough that a killed worker delays its cell by well under a second
     POLL_SECONDS = 0.25
 
-    def _inprocess_results(self, misses: List[CampaignJob],
-                           runtime: GateRuntime) -> Iterator[Dict]:
-        """Serial dispatch with the same bounded-retry contract as the pool.
-
-        An injected ``worker.cell`` raise is retried up to
-        ``max_job_retries`` times before degrading to a synthetic error
-        record.  (A ``crash-process`` fault here kills the campaign itself —
-        that kind only makes sense for pool workers.)
-        """
-        max_retries = self.config.max_job_retries
-        for job in misses:
-            retried = 0
-            while True:
-                try:
-                    record = execute_job(job, runtime)
-                    break
-                except InjectedFault as fault:
-                    retried += 1
-                    if retried > max_retries:
-                        record = self._crash_record(job, fault)
-                        break
-            record["retried"] = retried
-            yield record
-
     def _pool_results(self, pool, misses: List[CampaignJob]) -> Iterator[Dict]:
         """Crash-tolerant pool dispatch: per-job ``apply_async``, consumed in
-        input order under a poll timeout.
+        input order under a poll timeout.  ``pool`` is a worker pool or an
+        :class:`_InProcessPool`, whose handles never time out.
 
         ``imap`` would hang forever on a dead worker: the pool replaces the
         process but the tasks it had taken are silently lost.  Instead, each

@@ -1,7 +1,7 @@
 """Circuit intermediate representation, QASM I/O, random circuits and mutations."""
 
 from .circuit import Circuit
-from .gates import Gate, GATE_ARITY, PERMUTATION_GATES
+from .gates import Gate, GATE_ARITY
 from .metrics import (
     depth,
     engine_cost_profile,
@@ -31,7 +31,6 @@ __all__ = [
     "Circuit",
     "Gate",
     "GATE_ARITY",
-    "PERMUTATION_GATES",
     "QasmError",
     "parse_qasm",
     "to_qasm",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["Gate", "GATE_ARITY", "SINGLE_QUBIT_GATES", "CONTROLLED_GATES", "PERMUTATION_GATES"]
+__all__ = ["Gate", "GATE_ARITY", "SINGLE_QUBIT_GATES", "CONTROLLED_GATES"]
 
 
 #: Number of qubit operands for every supported gate kind (controls + target).
@@ -47,12 +47,6 @@ SINGLE_QUBIT_GATES = frozenset(name for name, arity in GATE_ARITY.items() if ari
 
 #: Gates with at least one control qubit (or otherwise multi-qubit).
 CONTROLLED_GATES = frozenset(name for name, arity in GATE_ARITY.items() if arity > 1)
-
-#: Gates whose matrix has exactly one non-zero entry per row (possibly scaled),
-#: i.e. the gates the permutation-based encoding of Section 5 supports directly.
-PERMUTATION_GATES = frozenset(
-    {"x", "y", "z", "s", "sdg", "t", "tdg", "cx", "cz", "cs", "csdg", "ct", "ctdg", "ccx"}
-)
 
 
 @dataclass(frozen=True)
@@ -95,11 +89,6 @@ class Gate:
             # swap has no controls; cswap has exactly one control (the first operand)
             return self.qubits[:1] if self.kind == "cswap" else ()
         return self.qubits[:-1]
-
-    @property
-    def is_permutation_gate(self) -> bool:
-        """True iff the permutation-based encoding (Section 5) handles this gate."""
-        return self.kind in PERMUTATION_GATES
 
     def dagger(self) -> "Gate":
         """Return the adjoint gate (used to build ``C2†`` for equivalence checks)."""

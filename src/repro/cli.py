@@ -132,6 +132,7 @@ from .api import (
     ToolResult,
     VerifyProblem,
 )
+from .api.problems import InvalidProblem
 from .baselines import (
     PathSumChecker,
     RandomStimuliChecker,
@@ -494,7 +495,10 @@ def _answer(args, problem):
     if server is not None:
         return _run_remote(args, server, problem)
     with _session(args) as session:
-        return session.run(problem)
+        try:
+            return session.run(problem)
+        except InvalidProblem as error:
+            return _fail(args, "invalid-request", str(error))
 
 
 def _parse_fault_plan(value):
@@ -516,7 +520,6 @@ def _session(args, **overrides) -> Session:
         cache_dir="" if getattr(args, "no_cache", False) else getattr(args, "cache_dir", None),
         store_dir="" if getattr(args, "no_store", False) else getattr(args, "store_dir", None),
         workers=getattr(args, "workers", 1),
-        profile=getattr(args, "profile", False),
         manifest_dir=getattr(args, "manifest_dir", None),
         report_dir=getattr(args, "report_dir", "campaign_reports"),
         fault_plan=_parse_fault_plan(getattr(args, "faults", None)),
@@ -893,7 +896,7 @@ def _command_campaign_matrix(args) -> int:
         print(f"faults:    {result.totals.get('faults_injected', 0)} injected, "
               f"{result.totals.get('retries', 0)} retry(ies), "
               f"{result.totals.get('quarantined_entries', 0)} quarantined{degraded}")
-    if session.config.profile:
+    if args.profile:
         phase_totals: dict = {}
         for row in result.rows:
             for phase, seconds in (row.get("phase_seconds") or {}).items():

@@ -11,9 +11,10 @@ paper (Section 7):
 * ``permutation`` — permutation-based only (raises on unsupported gates);
   mainly useful for tests and ablations.
 
-After each gate the engine optionally applies the lightweight reduction
-(:meth:`TreeAutomaton.reduce`), mirroring the paper's use of simulation-based
-reduction to keep the automata small.
+After each gate the engine optionally applies the lightweight layered
+reduction (:meth:`TreeAutomaton.reduce`: useless-state removal, then one
+bottom-up sweep that merges states with the same successor transitions) to
+keep the automata small.
 """
 
 from __future__ import annotations

@@ -111,13 +111,11 @@ class IncrementalBugHunter:
         mode: str = AnalysisMode.HYBRID,
         seed: Optional[int] = None,
         max_iterations: Optional[int] = None,
-        timeout_seconds: Optional[float] = None,
         runtime: Optional[GateRuntime] = None,
     ):
         self.mode = mode
         self.seed = seed
         self.max_iterations = max_iterations
-        self.timeout_seconds = timeout_seconds
         self.runtime = runtime
 
     def hunt(
@@ -151,7 +149,6 @@ class IncrementalBugHunter:
                 reference, candidate, inputs, mode=self.mode, runtime=runtime
             )
             per_iteration.append(time.perf_counter() - iteration_start)
-            elapsed = time.perf_counter() - start
             if outcome.non_equivalent:
                 input_size = 1
                 for values in allowed:
@@ -159,14 +156,12 @@ class IncrementalBugHunter:
                 return BugHuntResult(
                     bug_found=True,
                     iterations=iteration,
-                    total_seconds=elapsed,
+                    total_seconds=time.perf_counter() - start,
                     witness=outcome.witness,
                     witness_side=outcome.witness_side,
                     final_input_size=input_size,
                     per_iteration_seconds=per_iteration,
                 )
-            if self.timeout_seconds is not None and elapsed > self.timeout_seconds:
-                break
             # free one more qubit (add one nondeterministic transition)
             for qubit in free_order:
                 if len(allowed[qubit]) == 1:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..api.problems import CampaignProblem, Problem
+from ..api.problems import CampaignProblem, InvalidProblem, Problem
 from ..api.results import ErrorResult
 from ..api.schema import API_VERSION, SchemaError
 from ..api.session import Session, SessionConfig
@@ -169,11 +169,11 @@ class VerificationService:
             raise _Refused("unavailable", str(error), 503) from None
         try:
             problem = Problem.from_dict(document)
+            if campaign and not isinstance(problem, CampaignProblem):
+                raise ValueError("the stream endpoint takes a problem/campaign document")
         except (SchemaError, ValueError, TypeError, KeyError) as error:
+            self.metrics.request_refused("invalid-request")
             raise _Refused("invalid-request", str(error), 400) from None
-        if campaign and not isinstance(problem, CampaignProblem):
-            raise _Refused("invalid-request",
-                           "the stream endpoint takes a problem/campaign document", 400)
         if self._closed:
             raise _Refused("shutting-down", "the daemon is draining", 503)
         if not self._slots.acquire(blocking=False):
@@ -193,6 +193,16 @@ class VerificationService:
         finishes."""
         self.metrics.request_detached(slug)
         future.add_done_callback(lambda _f: self.metrics.work_finished())
+
+    def _failed(self, error: BaseException) -> ErrorResult:
+        """Count an admitted request whose work raised ``error`` and build
+        its answer: an input found bad on resolution is the client's fault
+        (400), anything else a crash (500)."""
+        if isinstance(error, InvalidProblem):
+            self.metrics.request_failed("invalid-request")
+            return ErrorResult("invalid-request", str(error), 400)
+        self.metrics.request_failed("internal")
+        return ErrorResult("internal", f"{type(error).__name__}: {error}", 500)
 
     def run_document(self, document) -> Tuple[int, Dict]:
         """Answer one problem document; returns ``(http_status, document)``."""
@@ -214,10 +224,8 @@ class VerificationService:
                 504,
             ).to_dict()
         except Exception as error:  # a crashed analysis must not kill the daemon
-            self.metrics.request_failed("internal")
-            return 500, ErrorResult(
-                "internal", f"{type(error).__name__}: {error}", 500
-            ).to_dict()
+            failure = self._failed(error)
+            return failure.code, failure.to_dict()
         self.metrics.observe_result(result)
         self.metrics.request_finished(result.kind, time.perf_counter() - start)
         return 200, result.to_dict()
@@ -278,10 +286,7 @@ class VerificationService:
                     return
                 else:
                     ended = True
-                    self.metrics.request_failed("internal")
-                    yield "error", ErrorResult(
-                        "internal", f"{type(payload).__name__}: {payload}", 500
-                    ).to_dict()
+                    yield "error", self._failed(payload).to_dict()
                     return
         finally:
             if not ended:

@@ -19,7 +19,6 @@ from .construction import (
 from .determinization import count_language, determinize, is_deterministic
 from .inclusion import EquivalenceResult, InclusionResult, check_equivalence, check_inclusion
 from .minimization import equivalent_via_counting, included_via_counting, reduced_deterministic
-from .simulation import downward_simulation, simulation_equivalence_classes, simulation_reduce
 from .store import AutomatonStore, default_store_dir
 from . import serialization, store, timbuk
 
@@ -49,9 +48,6 @@ __all__ = [
     "complement",
     "difference",
     "leaf_alphabet",
-    "downward_simulation",
-    "simulation_equivalence_classes",
-    "simulation_reduce",
     "AutomatonStore",
     "default_store_dir",
     "serialization",

@@ -146,7 +146,7 @@ class TestRandomStimuli:
         reference = Circuit(2)
         buggy = Circuit(2).add("cz", 0, 1)
         # with only the all-zero stimulus the difference cannot be observed
-        checker = RandomStimuliChecker(num_stimuli=1, seed=0, include_zero_state=True)
+        checker = RandomStimuliChecker(num_stimuli=1, seed=0)
         result = checker.check_equivalence(reference, buggy)
         assert result.verdict == StimuliVerdict.PROBABLY_EQUAL
 

@@ -117,19 +117,26 @@ class TestWorkerChaos:
         assert summary.retries >= 1
         assert summary.errors == 0
 
-    def test_exhausted_retries_degrade_to_an_error_record(self, tmp_path):
-        # every invocation raises and retries are disabled: every cell becomes
-        # a synthetic worker-crash error, but the sweep still completes
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_job_retries", [0, 2])
+    def test_exhausted_retries_degrade_to_an_error_record(self, tmp_path, workers,
+                                                          max_job_retries):
+        # every invocation raises: every cell becomes a synthetic worker-crash
+        # error after exactly max_job_retries re-queues, in process and in a
+        # pool alike, and the sweep still completes
         plan = FaultPlan(seed=0, sites=(
             FaultSpec(site="worker.cell", kind="raise", every=1),
         ))
-        config = _config(tmp_path, "dead", fault_plan=plan, max_job_retries=0)
+        config = _config(tmp_path, "dead", fault_plan=plan, workers=workers,
+                         max_job_retries=max_job_retries)
         summary = run_campaign(config)
         assert summary.jobs == 5
         assert summary.errors == 5
+        assert summary.retries == 5 * max_job_retries
         records = read_report(config.report_path)
         assert all(record["verdict"] == "error" for record in records)
         assert all("worker-crash" in record["error"] for record in records)
+        assert all(record["retried"] == max_job_retries for record in records)
 
     def test_pool_survives_killed_workers_with_identical_verdicts(self, tmp_path):
         clean = _config(tmp_path, "clean")

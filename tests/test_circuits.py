@@ -14,7 +14,6 @@ from repro.circuits import (
     swap_random_operands,
     to_qasm,
 )
-from repro.circuits.gates import GATE_ARITY, PERMUTATION_GATES
 
 
 class TestGate:
@@ -60,11 +59,6 @@ class TestGate:
         gate = Gate("ccx", (0, 1, 2))
         assert gate.shift(3).qubits == (3, 4, 5)
         assert gate.remap({0: 2, 2: 0}).qubits == (2, 1, 0)
-
-    def test_permutation_flag(self):
-        assert Gate("x", (0,)).is_permutation_gate
-        assert not Gate("h", (0,)).is_permutation_gate
-        assert PERMUTATION_GATES <= set(GATE_ARITY)
 
     def test_str(self):
         assert str(Gate("cx", (0, 1))) == "cx q[0], q[1]"

@@ -802,6 +802,13 @@ class TestJsonErrorEnvelope:
             capsys, ["bughunt", bell_qasm, "--json"], "invalid-request")
         assert "--inject-seed" in document["message"]
 
+    def test_equivalence_width_mismatch(self, bell_qasm, tmp_path, capsys):
+        wider = tmp_path / "ghz3.qasm"
+        save_qasm_file(Circuit(3).add("h", 0).add("cx", 0, 1).add("cx", 1, 2), str(wider))
+        document = self._run_error(
+            capsys, ["equivalence", bell_qasm, str(wider), "--json"], "invalid-request")
+        assert "2 and 3 qubits" in document["message"]
+
     def test_cache_gc_without_budget(self, tmp_path, capsys):
         self._run_error(capsys,
                         ["cache", "gc", "--store-dir", str(tmp_path), "--json"],

@@ -71,7 +71,7 @@ def test_gate_model_accepts_new_kinds(kind):
     gate = Gate(kind, (0, 2))
     assert gate.target == 2
     assert gate.controls == (0,)
-    assert gate.is_permutation_gate
+    assert supports_permutation(gate)
 
 
 def test_dagger_pairs():

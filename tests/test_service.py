@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 from repro.api import (
+    API_VERSION,
     CampaignProblem,
     CampaignResult,
     CircuitSource,
@@ -33,6 +34,7 @@ from repro.api.client import (
     default_server_url,
 )
 from repro.service import ServiceConfig, ServiceServer, VerificationService
+from repro.ta import basis_state_ta
 
 
 def _config(**overrides) -> ServiceConfig:
@@ -54,6 +56,41 @@ def _campaign_problem(tmp_path, mutants: int = 3) -> CampaignProblem:
         family="bv", size=4, mutants=mutants, seed=0,
         report_path=str(tmp_path / "campaign_report.jsonl"),
     )
+
+
+def _problem(kind: str, **fields) -> dict:
+    return {"api_version": API_VERSION, "kind": "problem/" + kind, **fields}
+
+
+_H_ON_2 = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\n'
+_H_ON_3 = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nh q[0];\n'
+_ALL_BASIS = {"kind": "all-basis"}
+
+#: well-formed documents with bad inputs: some are refused at admission
+#: (unknown family, size out of range), the rest only once the session
+#: resolves them (QASM, files, widths); every one is the client's error
+_INVALID_INPUTS = {
+    "verify-ta-width": _problem(
+        "verify", circuit={"qasm": _H_ON_2}, postcondition=_ALL_BASIS,
+        precondition=ConditionSpec.from_automaton(basis_state_ta(3, "000")).to_dict()),
+    "verify-basis-width": _problem(
+        "verify", circuit={"qasm": _H_ON_2}, postcondition=_ALL_BASIS,
+        precondition={"kind": "basis", "value": "000"}),
+    "verify-unknown-family": _problem("verify", circuit={"family": "nope"}),
+    "verify-size-0": _problem("verify", circuit={"family": "bv", "size": 0}),
+    "verify-bad-qasm": _problem(
+        "verify", circuit={"qasm": "garbage"}, precondition=_ALL_BASIS,
+        postcondition=_ALL_BASIS),
+    "verify-missing-path": _problem(
+        "verify", circuit={"path": "no/such/circuit.qasm"}, precondition=_ALL_BASIS,
+        postcondition=_ALL_BASIS),
+    "equivalence-width": _problem(
+        "equivalence", first={"qasm": _H_ON_2}, second={"qasm": _H_ON_3}),
+    "simulate-width": _problem("simulate", circuit={"qasm": _H_ON_2}, input_bits="000"),
+    "bughunt-unknown-family": _problem(
+        "bughunt", reference={"family": "nope"}, inject_seed=0),
+    "campaign-unknown-family": _problem("campaign", family="nope"),
+}
 
 
 def _wait_until_idle(service, seconds: float = 10.0) -> None:
@@ -129,6 +166,16 @@ class TestServiceCore:
         validate_document(payload, kind="error")
         assert payload["error"] == "invalid-request"
         assert "two depths" in payload["message"]
+
+    @pytest.mark.parametrize("document", list(_INVALID_INPUTS.values()),
+                             ids=list(_INVALID_INPUTS))
+    def test_invalid_input_is_a_400(self, service, document):
+        status, payload = service.run_document(document)
+        assert status == 400
+        validate_document(payload, kind="error")
+        assert payload["error"] == "invalid-request"
+        assert service.metrics.failures_total == {"invalid-request": 1}
+        _wait_until_idle(service)
 
     def test_admission_budget_answers_429(self, monkeypatch):
         release = threading.Event()

@@ -1,11 +1,11 @@
-"""Property tests: reductions preserve the language and never grow the TA.
+"""Property tests: the reduction preserves the language and never grows the TA.
 
 Randomized product-form automata (per-qubit classical constraints, the shape
 used by the bug hunter) and explicit-state automata (finite sets of quantum
-states with algebraic amplitudes) are bloated with redundant copies; both
-``reduce()`` and ``simulation_reduce()`` must return an automaton with the
-same language (``accepts`` / ``enumerate_states`` unchanged) and at most the
-original number of states and transitions.  The identity fast paths are
+states with algebraic amplitudes) are bloated with redundant copies;
+``reduce()`` must return an automaton with the same language (``accepts`` /
+``enumerate_states`` unchanged) and at most the original number of states
+and transitions.  The identity fast paths are
 pinned too: reducing an already-reduced automaton returns it unchanged.
 """
 
@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 
 from repro.algebraic import AlgebraicNumber
 from repro.states import QuantumState
-from repro.ta import (
-    basis_product_ta,
-    from_quantum_states,
-    simulation_reduce,
-)
+from repro.ta import basis_product_ta, from_quantum_states
 
 _AMPLITUDES = [
     AlgebraicNumber(1, 0, 0, 0, 0),   # 1
@@ -91,18 +87,6 @@ class TestReducePreservesLanguage:
         original = _product_form_ta(seed).reduce()
         bloated = _bloat(original)
         assert bloated.reduce().num_states <= original.num_states
-
-
-class TestSimulationReducePreservesLanguage:
-    @given(st.integers(min_value=0, max_value=500))
-    @settings(max_examples=20, deadline=None)
-    def test_product_form(self, seed):
-        _check_reduction(_product_form_ta(seed), simulation_reduce)
-
-    @given(st.integers(min_value=0, max_value=500))
-    @settings(max_examples=20, deadline=None)
-    def test_explicit_states(self, seed):
-        _check_reduction(_explicit_states_ta(seed), simulation_reduce)
 
 
 class TestHashConsing:
