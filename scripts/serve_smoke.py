@@ -7,8 +7,10 @@ printed startup URL, verify requests and an SSE campaign through
 :class:`repro.api.client.ServiceClient`, the ``/metrics`` page (which must
 show the counters moving and the warm gate memo being hit, and no store or
 gate-memo counter falling while the campaign runs), a store-entry ``PUT``
-the daemon must refuse without its store gaining an entry, and a graceful
-SIGINT shutdown with a clean exit status.
+the daemon must refuse without its store gaining an entry, two
+``python -m repro.cli … --server URL --json`` runs (a verify that holds and
+an equivalence the daemon refuses, whose ``error`` document the CLI must
+relay), and a graceful SIGINT shutdown with a clean exit status.
 
 Intended for CI (the ``serve-smoke`` job); it also doubles as a health
 check against an already-running daemon via ``--url``.  Writes a JSON
@@ -81,6 +83,17 @@ def _put_store_entry(url: str) -> int:
         return error.code
 
 
+def _cli_on_server(url: str, *argv: str):
+    """``python -m repro.cli <argv> --server <url> --json``: exit status,
+    stdout document, stderr text."""
+    process = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv, "--server", url, "--json"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src")),
+    )
+    return process.returncode, json.loads(process.stdout), process.stderr
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default=None,
@@ -94,6 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.api import CampaignProblem, CircuitSource, VerifyProblem
     from repro.api.client import ServiceClient
+    from repro.circuits import Circuit, save_qasm_file
 
     scratch = tempfile.mkdtemp(prefix="serve_smoke_")
     daemon = None
@@ -170,6 +184,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, (was, now) in moved.items():
             assert now > was, f"{name} did not move ({was} -> {now})"
         report["metrics"] = {name: now for name, (_, now) in moved.items()}
+
+        # the CLI's documented --server flag: a verdict comes back as the
+        # result document, a refused problem as the daemon's error document
+        widths = {}
+        for qubits in (2, 3):
+            widths[qubits] = os.path.join(scratch, f"width{qubits}.qasm")
+            save_qasm_file(Circuit(qubits).add("h", 0), widths[qubits])
+        before_cli = client.metrics_text()
+        status, document, _ = _cli_on_server(url, "verify", "--family", "bv", "--size", "3")
+        assert status == 0 and document["holds"] is True, (status, document)
+        status, document, stderr = _cli_on_server(url, "equivalence", widths[2], widths[3])
+        assert status == 2 and not stderr, (status, stderr)
+        assert (document["kind"], document["error"], document["code"]) == (
+            "error", "invalid-request", 400), document
+        after_cli = client.metrics_text()
+        for name in ("repro_requests_total", "repro_request_failures_total"):
+            assert _metric(after_cli, name) > _metric(before_cli, name), (
+                f"{name} did not count the CLI's request")
+        report["cli_error_relayed"] = document["message"]
     finally:
         if daemon is not None:
             daemon.send_signal(signal.SIGINT)

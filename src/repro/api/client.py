@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional
 
 from ..faults import DEFAULT_CLIENT_RETRY, RetryPolicy
 from .problems import CampaignProblem, Problem
-from .results import CampaignResult, ErrorResult, Result
+from .results import CampaignResult, ErrorResult, Result, ServiceError
 
 __all__ = [
     "SERVER_ENV",
@@ -47,19 +47,6 @@ TRANSIENT_HTTP_STATUSES = (429, 503, 504)
 #: environment variable naming a default daemon URL; the CLI's ``--server``
 #: flag falls back to it, so e.g. CI can point every invocation at one daemon
 SERVER_ENV = "AUTOQ_REPRO_SERVER"
-
-
-class ServiceError(RuntimeError):
-    """A daemon answered with an ``error`` document (or never answered).
-
-    ``result`` is the typed :class:`ErrorResult`: ``result.error`` the
-    machine slug ("saturated", "timeout", …), ``result.code`` the HTTP
-    status, ``result.message`` the human detail.
-    """
-
-    def __init__(self, result: ErrorResult):
-        super().__init__(f"[{result.code}] {result.error}: {result.message}")
-        self.result = result
 
 
 class ServiceUnavailable(ServiceError):

@@ -38,6 +38,7 @@ __all__ = [
     "FuzzResult",
     "ToolResult",
     "ErrorResult",
+    "ServiceError",
 ]
 
 
@@ -286,7 +287,7 @@ class ToolResult(Result):
         deserialized document reports the same status the CLI exited with."""
         if self.tool == "baselines":
             return 1 if self.data.get("any_difference") else 0
-        if self.tool == "campaign-matrix":
+        if self.tool in ("campaign-matrix", "campaign-join"):
             return 0 if self.data.get("trustworthy", True) else 1
         return 0
 
@@ -322,6 +323,21 @@ class ErrorResult(Result):
         # HTTP statuses (>= 100) don't survive the 8-bit process exit space;
         # a relayed remote failure exits with the generic usage-error status.
         return self.code if 0 < self.code < 100 else 2
+
+
+class ServiceError(RuntimeError):
+    """A daemon answered with an ``error`` document (or never answered).
+
+    ``result`` is the typed :class:`ErrorResult`: ``result.error`` the
+    machine slug ("saturated", "timeout", …), ``result.code`` the HTTP
+    status, ``result.message`` the human detail.  It lives here rather than
+    in :mod:`repro.api.client` so a front end can catch it without loading
+    the HTTP client.
+    """
+
+    def __init__(self, result: ErrorResult):
+        super().__init__(f"[{result.code}] {result.error}: {result.message}")
+        self.result = result
 
 
 _RESULT_CLASSES: Dict[str, type] = {

@@ -6,8 +6,9 @@ worker count, fault plan — behind one façade:
 * it owns a private :class:`~repro.core.engine.GateRuntime` (gate memo + the
   optional cross-process automaton store) for its verify, equivalence,
   bug-hunt and fuzz problems, so nothing a session does can leak into
-  another session or a test; campaigns and matrix sweeps build their own
-  runtimes on the configured store and never touch the session's;
+  another session or a test; campaigns build their own runtimes on the
+  configured store and never touch the session's (matrix sweeps are
+  :class:`~repro.campaign.MatrixScheduler`'s, outside any session);
 * :meth:`Session.run` accepts any :class:`~repro.api.problems.Problem` and
   returns the matching typed :class:`~repro.api.results.Result`;
 * it is a context manager — leaving the ``with`` block resets the runtime, so
@@ -28,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 from ..campaign.runner import Campaign, CampaignConfig
-from ..campaign.scheduler import MatrixRunResult, MatrixScheduler, MatrixSpec
 from ..circuits import inject_random_gate
 from ..core.engine import GateRuntime
 from ..core.equivalence import IncrementalBugHunter, check_circuit_equivalence
@@ -86,10 +86,6 @@ class SessionConfig:
     store_dir: Optional[str] = None
     #: worker processes for campaign problems (1 = run in-process)
     workers: int = 1
-    #: campaign-matrix manifest directory (None = default)
-    manifest_dir: Optional[str] = None
-    #: campaign-matrix per-cell report directory
-    report_dir: str = "campaign_reports"
     #: deterministic fault-injection plan for chaos testing (see
     #: ``docs/robustness.md``); ``None`` = the ambient ``AUTOQ_REPRO_FAULTS``
     #: env plan, if any.  Threaded into campaigns (parent + pool workers).
@@ -317,63 +313,3 @@ class Session:
         )
         summary = Campaign(config).run(on_record=on_record)
         return CampaignResult.from_summary(summary)
-
-    # ----------------------------------------------------------- matrices
-    def run_matrix(
-        self,
-        spec: MatrixSpec,
-        campaign_id: Optional[str] = None,
-        resume: bool = False,
-        progress: Optional[Callable[[str], None]] = None,
-    ) -> MatrixRunResult:
-        """Drive a whole families × sizes × modes sweep under this session.
-
-        Matrix sweeps return the scheduler's
-        :class:`~repro.campaign.scheduler.MatrixRunResult` (per-cell rows +
-        totals) rather than a wire ``Result`` — they are an orchestration of
-        many campaign problems, each of which already reports through the
-        versioned schema in its JSONL records.
-        """
-        scheduler = self.matrix_scheduler(spec, campaign_id=campaign_id)
-        return scheduler.run(resume=resume, progress=progress)
-
-    def matrix_scheduler(
-        self, spec: MatrixSpec, campaign_id: Optional[str] = None
-    ) -> MatrixScheduler:
-        """A :class:`MatrixScheduler` wired to this session's configuration."""
-        return MatrixScheduler(
-            spec,
-            workers=self.config.workers,
-            report_dir=self.config.report_dir,
-            manifest_dir=self.config.manifest_dir,
-            cache_dir=self.config.cache_dir,
-            campaign_id=campaign_id,
-            store_dir=self.config.store_dir,
-            fault_plan=self.config.fault_plan,
-        )
-
-    def resume_matrix_scheduler(self, campaign_id: str) -> MatrixScheduler:
-        """Rebuild a scheduler from a manifest alone (``campaign --resume``)."""
-        return MatrixScheduler.resume(
-            campaign_id,
-            workers=self.config.workers,
-            report_dir=self.config.report_dir,
-            manifest_dir=self.config.manifest_dir,
-            cache_dir=self.config.cache_dir,
-            store_dir=self.config.store_dir,
-            fault_plan=self.config.fault_plan,
-        )
-
-    def join_matrix_scheduler(self, campaign_id: str) -> MatrixScheduler:
-        """Rebuild a scheduler to attach to a running campaign as a fabric
-        worker (``campaign --join``); run it with
-        :meth:`~repro.campaign.MatrixScheduler.run_join`."""
-        return MatrixScheduler.join(
-            campaign_id,
-            workers=self.config.workers,
-            report_dir=self.config.report_dir,
-            manifest_dir=self.config.manifest_dir,
-            cache_dir=self.config.cache_dir,
-            store_dir=self.config.store_dir,
-            fault_plan=self.config.fault_plan,
-        )

@@ -10,8 +10,8 @@ Aliases (e.g. ``grover`` for ``grover-single``) and per-family default sizes
 support the bug-hunting campaigns, which sweep many mutants of one family
 instance and therefore want a sensible size when the user does not pass one.
 
-Each family also carries a :class:`FamilyCapability` record — its valid size
-range, the analysis modes it supports, the default size sweep used by matrix
+Each family also carries a :class:`FamilyCapability` record — its smallest
+size, the analysis modes it supports, the default size sweep used by matrix
 campaigns, and a relative cost scale.  The campaign matrix scheduler
 (:mod:`repro.campaign.scheduler`) reads these to validate a sweep spec before
 any work starts and to order cells cheapest-first.
@@ -20,7 +20,7 @@ any work starts and to order cells cheapest-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .arithmetic import adder_benchmark
 from .bv import bv_benchmark
@@ -82,7 +82,7 @@ DEFAULT_SIZES: Dict[str, int] = {
 
 @dataclass(frozen=True)
 class FamilyCapability:
-    """What a family can do: size range, analysis modes, and campaign defaults.
+    """What a family can do: smallest size, analysis modes, and campaign defaults.
 
     ``modes`` lists the engine modes whose gate support covers the family's
     circuits — pure Toffoli families (``mctoffoli``, ``adder``) work under the
@@ -94,7 +94,6 @@ class FamilyCapability:
     """
 
     min_size: int
-    max_size: Optional[int]
     modes: Tuple[str, ...]
     campaign_sizes: Tuple[int, ...]
     cost_scale: float = 1.0
@@ -103,18 +102,18 @@ class FamilyCapability:
 _ALL_MODES = ("hybrid", "composition", "permutation")
 _SUPERPOSITION_MODES = ("hybrid", "composition")
 
-#: canonical family name -> capability record (size bounds are the builders'
-#: own ``ValueError`` limits; ``max_size=None`` means unbounded in principle)
+#: canonical family name -> capability record (``min_size`` is the smallest
+#: size the builder accepts; no family has an upper bound)
 FAMILY_CAPABILITIES: Dict[str, FamilyCapability] = {
-    "bv": FamilyCapability(1, None, _SUPERPOSITION_MODES, (3, 4, 5)),
-    "grover-single": FamilyCapability(2, None, _SUPERPOSITION_MODES, (2,), cost_scale=4.0),
-    "grover-all": FamilyCapability(2, None, _SUPERPOSITION_MODES, (2,), cost_scale=4.0),
-    "mctoffoli": FamilyCapability(2, None, _ALL_MODES, (2, 3, 4)),
-    "ghz": FamilyCapability(2, None, _SUPERPOSITION_MODES, (3, 4, 5)),
-    "bell-chain": FamilyCapability(1, None, _SUPERPOSITION_MODES, (2, 3, 4)),
-    "qft-zero": FamilyCapability(1, None, _SUPERPOSITION_MODES, (2, 3), cost_scale=2.0),
-    "qft-roundtrip": FamilyCapability(1, None, _SUPERPOSITION_MODES, (2, 3), cost_scale=4.0),
-    "adder": FamilyCapability(1, None, _ALL_MODES, (1, 2, 3)),
+    "bv": FamilyCapability(1, _SUPERPOSITION_MODES, (3, 4, 5)),
+    "grover-single": FamilyCapability(2, _SUPERPOSITION_MODES, (2,), cost_scale=4.0),
+    "grover-all": FamilyCapability(2, _SUPERPOSITION_MODES, (2,), cost_scale=4.0),
+    "mctoffoli": FamilyCapability(2, _ALL_MODES, (2, 3, 4)),
+    "ghz": FamilyCapability(2, _SUPERPOSITION_MODES, (3, 4, 5)),
+    "bell-chain": FamilyCapability(1, _SUPERPOSITION_MODES, (2, 3, 4)),
+    "qft-zero": FamilyCapability(1, _SUPERPOSITION_MODES, (2, 3), cost_scale=2.0),
+    "qft-roundtrip": FamilyCapability(1, _SUPERPOSITION_MODES, (2, 3), cost_scale=4.0),
+    "adder": FamilyCapability(1, _ALL_MODES, (1, 2, 3)),
 }
 
 
@@ -124,16 +123,10 @@ def family_capability(name: str) -> FamilyCapability:
 
 
 def validate_family_size(name: str, size: int) -> int:
-    """Check ``size`` against the family's bounds; returns it unchanged."""
-    capability = family_capability(name)
-    if size < capability.min_size:
-        raise ValueError(
-            f"family {name!r} needs size >= {capability.min_size}, got {size}"
-        )
-    if capability.max_size is not None and size > capability.max_size:
-        raise ValueError(
-            f"family {name!r} supports sizes up to {capability.max_size}, got {size}"
-        )
+    """Check ``size`` against the family's smallest size; returns it unchanged."""
+    min_size = family_capability(name).min_size
+    if size < min_size:
+        raise ValueError(f"family {name!r} needs size >= {min_size}, got {size}")
     return size
 
 
@@ -170,8 +163,9 @@ def resolve_family(name: str) -> str:
 
 
 def build_family(name: str, size: int = None) -> VerificationBenchmark:
-    """Build the benchmark for ``name`` (alias-aware) at ``size`` (or its default)."""
+    """Build the benchmark for ``name`` (alias-aware) at ``size`` (or its default);
+    ``ValueError`` for a size below the family's smallest."""
     canonical = resolve_family(name)
     if size is None:
         size = DEFAULT_SIZES[canonical]
-    return FAMILY_BUILDERS[canonical](size)
+    return FAMILY_BUILDERS[canonical](validate_family_size(name, size))

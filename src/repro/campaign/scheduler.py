@@ -59,7 +59,7 @@ from ..benchgen.families import (
 from ..core.engine import AnalysisMode, GateRuntime
 from ..dist.queue import JobQueue
 from ..faults import FaultPlan
-from ..ta.store import open_store
+from ..ta.store import open_store, refuse_url
 from .cache import atomic_write_json, resolve_store_dir
 from .manifest import CampaignManifest, ManifestError, default_manifest_dir
 from .plan import MUTATION_KINDS
@@ -442,6 +442,7 @@ class MatrixScheduler:
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        refuse_url(resolve_store_dir(cache_dir, store_dir))
         self.spec = spec
         self.workers = workers
         self.report_dir = report_dir
@@ -462,7 +463,10 @@ class MatrixScheduler:
         store_dir: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> "MatrixScheduler":
-        """Rebuild a scheduler from a manifest alone (``campaign --resume <id>``)."""
+        """Rebuild a scheduler from a manifest alone (``campaign --resume <id>``).
+
+        A URL store location is refused before the manifest is read."""
+        refuse_url(resolve_store_dir(cache_dir, store_dir))
         manifest = CampaignManifest.load(manifest_dir or default_manifest_dir(), campaign_id)
         spec = MatrixSpec.from_mapping(manifest.spec)
         return cls(spec, workers=workers, report_dir=report_dir,

@@ -42,7 +42,10 @@ text report — the same schema campaign JSONL records use, and the output
 round-trips through ``repro.api.Result.from_json`` unchanged.  Under
 ``--json``, *failures* are documents too: every error path prints a
 versioned ``error`` envelope (kind ``"error"``: slug, message, exit code)
-on stdout, so machine callers never parse stderr.
+on stdout, so machine callers never parse stderr.  Each subcommand only
+returns its typed result (printing its text report) or raises; :func:`main`
+is the one boundary that turns a raised failure into that envelope or the
+``error: …`` stderr line, and it always exits with the result's own code.
 
 The problem subcommands (verify / simulate / equivalence / bughunt /
 campaign) also accept ``--server URL`` (default: ``$AUTOQ_REPRO_SERVER``
@@ -126,13 +129,14 @@ from .api import (
     EquivalenceProblem,
     ErrorResult,
     FuzzProblem,
+    Result,
     Session,
     SessionConfig,
     SimulateProblem,
     ToolResult,
     VerifyProblem,
 )
-from .api.problems import InvalidProblem
+from .api.results import ServiceError
 from .baselines import (
     PathSumChecker,
     RandomStimuliChecker,
@@ -143,6 +147,7 @@ from .benchgen import build_family, family_names
 from .campaign import (
     CampaignManifest,
     ManifestError,
+    MatrixScheduler,
     MatrixSpec,
     default_cache_dir,
     default_manifest_dir,
@@ -151,10 +156,11 @@ from .campaign import (
     resolve_store_dir,
 )
 from .campaign.plan import MUTATION_KINDS
-from .circuits import inject_random_gate, load_qasm_file, save_qasm_file
+from .circuits import inject_random_gate, save_qasm_file
 from .circuits.metrics import summarise as circuit_summary
 from .core import AnalysisMode
 from .dist.queue import JobQueue
+from .faults import FaultPlan
 from .ta.store import AutomatonStore
 from .ta.timbuk import save_timbuk
 
@@ -433,114 +439,53 @@ def _format_phases(phase_seconds) -> str:
     return "  ".join(f"{name}={seconds:.3f}s" for name, seconds in ordered)
 
 
-def _emit(result) -> int:
-    """Shared ``--json`` tail: print the document, return the result's exit code."""
-    print(result.to_json())
-    return result.exit_code
+def _print_record(record) -> None:
+    """One streamed campaign verdict as a text line."""
+    print(f"  [{record['job_id']}] {record['verdict']}")
 
 
-def _fail(args, error: str, message: str, code: int = 2) -> int:
-    """Uniform failure tail for every subcommand error path.
+def _answer(args, problem) -> Result:
+    """The typed result of ``problem``: run in-process, or on the daemon that
+    ``--server`` (else ``$AUTOQ_REPRO_SERVER``) names.  A daemon's ``error``
+    document arrives as :class:`~repro.api.results.ServiceError`."""
+    from .api.client import ServiceClient, default_server_url
 
-    Under ``--json`` prints a versioned ``error`` envelope on stdout (machine
-    callers never parse stderr); otherwise the classic ``error: …`` stderr
-    line.  Returns the exit code either way.
-    """
-    if getattr(args, "json", False):
-        return _emit(ErrorResult(error=error, message=message, code=code))
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _resolve_server(args) -> Optional[str]:
-    """The daemon URL this invocation should use: --server, else the env."""
-    server = getattr(args, "server", None)
-    if server:
-        return server
-    from .api.client import default_server_url
-
-    return default_server_url()
-
-
-def _run_remote(args, server: str, problem):
-    """Run ``problem`` on the daemon at ``server``.
-
-    Returns the typed result on success, or an ``int`` exit code after a
-    failure (the error envelope / stderr line is already emitted — the
-    daemon's error document is relayed verbatim under ``--json``).
-    """
-    from .api.client import ServiceClient, ServiceError
-
-    client = ServiceClient(server)
-    try:
-        if isinstance(problem, CampaignProblem):
-            on_record = None
-            if not args.json:
-                def on_record(record):
-                    print(f"  [{record['job_id']}] {record['verdict']}")
-            return client.run_campaign(problem, on_record=on_record)
-        return client.run(problem)
-    except ServiceError as error:
-        if args.json:
-            return _emit(error.result)
-        print(f"error: {error}", file=sys.stderr)
-        return error.result.exit_code
-
-
-def _answer(args, problem):
-    """Typed result for a problem — locally, or on the daemon ``--server``
-    names.  Callers must treat an ``int`` return as an already-reported
-    failure exit code."""
-    server = _resolve_server(args)
-    if server is not None:
-        return _run_remote(args, server, problem)
-    with _session(args) as session:
-        try:
+    server = args.server or default_server_url()
+    if server is None:
+        with _session(args) as session:
             return session.run(problem)
-        except InvalidProblem as error:
-            return _fail(args, "invalid-request", str(error))
+    client = ServiceClient(server)
+    if isinstance(problem, CampaignProblem):
+        return client.run_campaign(problem, on_record=None if args.json else _print_record)
+    return client.run(problem)
 
 
-def _parse_fault_plan(value):
-    """A ``--faults`` value as a :class:`~repro.faults.FaultPlan`:
-    inline JSON when the value starts with ``{``, else a plan file path."""
-    if not value:
-        return None
-    from .faults import FaultPlan
-
-    value = value.strip()
-    if value.startswith("{"):
-        return FaultPlan.from_json(value)
-    return FaultPlan.from_file(value)
-
-
-def _session(args, **overrides) -> Session:
-    """Build the session from the runtime-configuration flags a command has."""
-    config = SessionConfig(
+def _session(args) -> Session:
+    """The session a command's runtime-configuration flags select."""
+    faults = getattr(args, "faults", None)
+    return Session(SessionConfig(
         cache_dir="" if getattr(args, "no_cache", False) else getattr(args, "cache_dir", None),
         store_dir="" if getattr(args, "no_store", False) else getattr(args, "store_dir", None),
         workers=getattr(args, "workers", 1),
-        manifest_dir=getattr(args, "manifest_dir", None),
-        report_dir=getattr(args, "report_dir", "campaign_reports"),
-        fault_plan=_parse_fault_plan(getattr(args, "faults", None)),
-    )
-    from dataclasses import replace
+        fault_plan=FaultPlan.parse(faults) if faults else None,
+    ))
 
-    return Session(replace(config, **overrides) if overrides else config)
+
+def _load_circuit(path: str):
+    """The circuit in a QASM file; ``InvalidProblem`` when it cannot be read."""
+    circuit, _ = CircuitSource.from_path(path).resolve()
+    return circuit
 
 
 # --------------------------------------------------------------- problem runs
 
 
-def _command_verify(args) -> int:
-    problem = VerifyProblem(
+def _command_verify(args) -> Result:
+    result = _answer(args, VerifyProblem(
         circuit=CircuitSource.from_family(args.family, args.size), mode=args.mode
-    )
-    result = _answer(args, problem)
-    if isinstance(result, int):
-        return result
+    ))
     if args.json:
-        return _emit(result)
+        return result
     print(f"benchmark: {result.benchmark} ({result.description})")
     print(f"circuit:   {result.circuit_qubits} qubits, {result.circuit_gates} gates")
     print(f"pre  TA:   {result.precondition_summary}")
@@ -552,81 +497,75 @@ def _command_verify(args) -> int:
     print(f"verdict:   {'HOLDS' if result.holds else 'VIOLATED'}")
     if result.witness is not None:
         print(f"witness ({result.witness_kind}): {result.witness}")
-    return result.exit_code
+    return result
 
 
-def _command_simulate(args) -> int:
-    problem = SimulateProblem(
+def _command_simulate(args) -> Result:
+    result = _answer(args, SimulateProblem(
         circuit=CircuitSource.from_path(args.circuit), input_bits=args.input
-    )
-    result = _answer(args, problem)
-    if isinstance(result, int):
-        return result
+    ))
     if args.json:
-        return _emit(result)
+        return result
     print(f"circuit: {result.num_qubits} qubits, {result.num_gates} gates")
     for entry in result.amplitudes:
         approx = complex(entry["approx"][0], entry["approx"][1])
         print(f"  |{entry['basis']}>  {entry['amplitude']}   ({approx:.4f})")
-    return result.exit_code
+    return result
 
 
-def _command_equivalence(args) -> int:
+def _command_equivalence(args) -> Result:
     inputs = None
     if args.single_input is not None:
         inputs = ConditionSpec(kind="basis", value=args.single_input)
-    problem = EquivalenceProblem(
+    result = _answer(args, EquivalenceProblem(
         first=CircuitSource.from_path(args.first),
         second=CircuitSource.from_path(args.second),
         inputs=inputs,
         mode=args.mode,
-    )
-    result = _answer(args, problem)
-    if isinstance(result, int):
-        return result
+    ))
     if args.json:
-        return _emit(result)
+        return result
     print(f"analysis: {result.analysis_seconds:.2f}s, comparison: {result.comparison_seconds:.2f}s")
     if result.non_equivalent:
         print(f"NOT EQUIVALENT ({result.witness_side}); witness: {result.witness}")
-        return 1
-    print("output sets coincide (circuits may be equivalent)")
-    return 0
+    else:
+        print("output sets coincide (circuits may be equivalent)")
+    return result
 
 
-def _command_bughunt(args) -> int:
+def _command_bughunt(args) -> Result:
     if args.second is None and args.inject_seed is None:
-        return _fail(args, "invalid-request", "provide a second circuit or --inject-seed")
-    problem = BugHuntProblem(
+        raise ValueError("provide a second circuit or --inject-seed")
+    result = _answer(args, BugHuntProblem(
         reference=CircuitSource.from_path(args.first),
         candidate=None if args.second is None else CircuitSource.from_path(args.second),
         inject_seed=args.inject_seed if args.second is None else None,
         mode=args.mode,
         seed=args.seed,
         max_iterations=args.max_iterations,
-    )
-    result = _answer(args, problem)
-    if isinstance(result, int):
-        return result
+    ))
     if args.json:
-        return _emit(result)
+        return result
     if result.injected_mutation is not None:
         print(f"injected bug: {result.injected_mutation}")
     print(f"iterations: {result.iterations}, time: {result.total_seconds:.2f}s")
     if result.bug_found:
         print(f"BUG FOUND; witness ({result.witness_side}): {result.witness}")
-        return 1
-    print("no difference found within the iteration budget")
-    return 0
+    else:
+        print("no difference found within the iteration budget")
+    return result
 
 
 # ------------------------------------------------------------- tool commands
 
 
-def _command_generate(args) -> int:
+def _command_generate(args) -> ToolResult:
     benchmark = build_family(args.family, args.size)
     save_qasm_file(benchmark.circuit, args.output)
-    result = ToolResult(tool="generate", data={
+    if not args.json:
+        print(f"wrote {benchmark.name}: {benchmark.circuit.num_qubits} qubits, "
+              f"{benchmark.circuit.num_gates} gates -> {args.output}")
+    return ToolResult(tool="generate", data={
         "benchmark": benchmark.name,
         "family": args.family,
         "size": args.size,
@@ -634,35 +573,27 @@ def _command_generate(args) -> int:
         "gates": benchmark.circuit.num_gates,
         "output": args.output,
     })
-    if args.json:
-        return _emit(result)
-    print(f"wrote {benchmark.name}: {benchmark.circuit.num_qubits} qubits, "
-          f"{benchmark.circuit.num_gates} gates -> {args.output}")
-    return 0
 
 
-def _command_inject(args) -> int:
-    circuit = load_qasm_file(args.circuit)
-    mutated, mutation = inject_random_gate(circuit, seed=args.seed)
+def _command_inject(args) -> ToolResult:
+    mutated, mutation = inject_random_gate(_load_circuit(args.circuit), seed=args.seed)
     save_qasm_file(mutated, args.output)
-    result = ToolResult(tool="inject", data={
+    if not args.json:
+        print(f"injected bug: {mutation}")
+        print(f"wrote mutated circuit ({mutated.num_gates} gates) -> {args.output}")
+    return ToolResult(tool="inject", data={
         "mutation": str(mutation),
         "seed": args.seed,
         "gates": mutated.num_gates,
         "output": args.output,
     })
-    if args.json:
-        return _emit(result)
-    print(f"injected bug: {mutation}")
-    print(f"wrote mutated circuit ({mutated.num_gates} gates) -> {args.output}")
-    return 0
 
 
-def _command_stats(args) -> int:
-    circuit = load_qasm_file(args.circuit)
-    summary = circuit_summary(circuit)
+def _command_stats(args) -> ToolResult:
+    summary = circuit_summary(_load_circuit(args.circuit))
+    result = ToolResult(tool="stats", data={"circuit": args.circuit, **summary})
     if args.json:
-        return _emit(ToolResult(tool="stats", data={"circuit": args.circuit, **summary}))
+        return result
     print(f"circuit:  {args.circuit}")
     print(f"qubits:   {summary['qubits']}")
     print(f"gates:    {summary['gates']}", end="")
@@ -676,14 +607,17 @@ def _command_stats(args) -> int:
         print(f"  {kind:<6} {count}")
     print(f"gates handled by the permutation-based encoding:  {summary['permutation_gates']}")
     print(f"gates needing the composition-based encoding:     {summary['composition_gates']}")
-    return 0
+    return result
 
 
-def _command_export_ta(args) -> int:
+def _command_export_ta(args) -> ToolResult:
     benchmark = build_family(args.family, args.size)
     automaton = benchmark.precondition if args.which == "pre" else benchmark.postcondition
     save_timbuk(automaton, args.output, name=f"{args.family}_{args.size}_{args.which}")
-    result = ToolResult(tool="export-ta", data={
+    if not args.json:
+        print(f"wrote {args.which}-condition TA of {benchmark.name} "
+              f"({automaton.size_summary()}) -> {args.output}")
+    return ToolResult(tool="export-ta", data={
         "benchmark": benchmark.name,
         "which": args.which,
         "summary": automaton.size_summary(),
@@ -691,16 +625,11 @@ def _command_export_ta(args) -> int:
         "transitions": automaton.num_transitions,
         "output": args.output,
     })
-    if args.json:
-        return _emit(result)
-    print(f"wrote {args.which}-condition TA of {benchmark.name} "
-          f"({automaton.size_summary()}) -> {args.output}")
-    return 0
 
 
-def _command_baselines(args) -> int:
-    first = load_qasm_file(args.first)
-    second = load_qasm_file(args.second)
+def _command_baselines(args) -> ToolResult:
+    first = _load_circuit(args.first)
+    second = _load_circuit(args.second)
     data = {}
     any_difference = False
 
@@ -721,41 +650,41 @@ def _command_baselines(args) -> int:
     any_difference |= stabilizer.verdict.value == "not_equal"
     any_difference |= stimuli.verdict == "not_equal"
     data["any_difference"] = any_difference
-    if args.json:
-        return _emit(ToolResult(tool="baselines", data=data))
-    print(f"path-sum:    {data['pathsum']}")
-    print(f"stabilizer:  {data['stabilizer']['verdict']} ({data['stabilizer']['reason']})")
-    print(f"stimuli:     {data['stimuli']}")
-    if data["unitary"] is not None:
-        print(f"unitary:     {data['unitary']}")
-    return 1 if any_difference else 0
+    if not args.json:
+        print(f"path-sum:    {data['pathsum']}")
+        print(f"stabilizer:  {data['stabilizer']['verdict']} ({data['stabilizer']['reason']})")
+        print(f"stimuli:     {data['stimuli']}")
+        if data["unitary"] is not None:
+            print(f"unitary:     {data['unitary']}")
+    return ToolResult(tool="baselines", data=data)
 
 
-def _command_cache(args) -> int:
+def _result_cache_entries(cache_dir: str) -> int:
+    """The verdicts in a campaign result cache (0 when it does not exist)."""
+    try:
+        return sum(1 for name in os.listdir(cache_dir) if name.endswith(".json"))
+    except OSError:
+        return 0
+
+
+def _command_cache(args) -> ToolResult:
     """``cache stats`` / ``cache gc --max-bytes`` / ``cache clear``."""
     # the store a campaign with the same --cache-dir/--store-dir would use
     store_dir = resolve_store_dir(args.cache_dir or None, args.store_dir or None)
     if args.action == "gc" and args.max_bytes is None:
-        return _fail(args, "invalid-request", "cache gc needs --max-bytes <target size>")
+        raise ValueError("cache gc needs --max-bytes <target size>")
     if args.action == "stats":
         # pure inspection: must not create directories, nor trigger the
         # schema-stamp invalidation that opening a store performs
-        try:
-            stats = AutomatonStore.disk_stats(store_dir)
-        except ValueError as error:
-            return _fail(args, "invalid-request", str(error))
+        stats = AutomatonStore.disk_stats(store_dir)
         cache_dir = args.cache_dir or default_cache_dir()
-        try:
-            result_entries = sum(
-                1 for name in os.listdir(cache_dir) if name.endswith(".json")
-            )
-        except OSError:
-            result_entries = 0
+        result_entries = _result_cache_entries(cache_dir)
+        result = ToolResult(tool="cache-stats", data={
+            "store": stats,
+            "result_cache": {"directory": cache_dir, "entries": result_entries},
+        })
         if args.json:
-            return _emit(ToolResult(tool="cache-stats", data={
-                "store": stats,
-                "result_cache": {"directory": cache_dir, "entries": result_entries},
-            }))
+            return result
         print(f"store:        {stats['directory']}")
         print(f"schema:       store v{stats['store_schema']}, payload v{stats['payload_schema']}")
         if stats["disk_stamp"] is not None and stats["disk_stamp"] != {
@@ -771,33 +700,26 @@ def _command_cache(args) -> int:
             print(f"quarantine:   {stats['quarantined_entries']} corrupt entry(ies) "
                   "set aside (see <store>/quarantine/)")
         print(f"result cache: {cache_dir} ({result_entries} entry(ies))")
-        return 0
-    try:
-        store = AutomatonStore(store_dir)
-    except ValueError as error:
-        return _fail(args, "invalid-request", str(error))
-    except OSError as error:
-        return _fail(args, "os-error", f"cannot open store {store_dir!r}: {error}")
+        return result
+    store = AutomatonStore(store_dir)
     if args.action == "gc":
         outcome = store.gc(args.max_bytes)
-        if args.json:
-            return _emit(ToolResult(tool="cache-gc", data={
-                "store": store_dir, "budget_bytes": args.max_bytes, **outcome,
-            }))
-        print(f"store:    {store_dir}")
-        print(f"evicted:  {outcome['removed_entries']} entry(ies) "
-              f"({outcome['removed_bytes']} bytes)")
-        print(f"remains:  {outcome['remaining_bytes']} bytes "
-              f"(budget {args.max_bytes})")
-        return 0
+        if not args.json:
+            print(f"store:    {store_dir}")
+            print(f"evicted:  {outcome['removed_entries']} entry(ies) "
+                  f"({outcome['removed_bytes']} bytes)")
+            print(f"remains:  {outcome['remaining_bytes']} bytes "
+                  f"(budget {args.max_bytes})")
+        return ToolResult(tool="cache-gc", data={
+            "store": store_dir, "budget_bytes": args.max_bytes, **outcome,
+        })
     removed = store.clear()
-    if args.json:
-        return _emit(ToolResult(tool="cache-clear", data={
-            "store": store_dir, "removed_entries": removed,
-        }))
-    print(f"store:    {store_dir}")
-    print(f"cleared:  {removed} entry(ies)")
-    return 0
+    if not args.json:
+        print(f"store:    {store_dir}")
+        print(f"cleared:  {removed} entry(ies)")
+    return ToolResult(tool="cache-clear", data={
+        "store": store_dir, "removed_entries": removed,
+    })
 
 
 # ----------------------------------------------------------------- campaigns
@@ -845,42 +767,44 @@ def _matrix_spec_from_args(args):
     return spec, campaign_id, args.resume is not None
 
 
-def _command_campaign_matrix(args) -> int:
+def _scheduler_options(args) -> dict:
+    """The :class:`MatrixScheduler` keywords a sweep's or a joiner's flags select."""
+    return dict(
+        workers=args.workers,
+        report_dir=args.report_dir,
+        manifest_dir=args.manifest_dir,
+        cache_dir="" if args.no_cache else args.cache_dir,
+        store_dir="" if args.no_store else args.store_dir,
+        fault_plan=FaultPlan.parse(args.faults) if args.faults else None,
+    )
+
+
+def _command_campaign_matrix(args) -> ToolResult:
     progress = (lambda message: None) if args.json else print
-    try:
-        spec, campaign_id, resume = _matrix_spec_from_args(args)
-        with _session(args) as session:
-            if spec is None:
-                scheduler = session.resume_matrix_scheduler(campaign_id)
-            else:
-                scheduler = session.matrix_scheduler(spec, campaign_id=campaign_id)
-            progress(f"campaign:  {scheduler.campaign_id} "
-                     f"({len(scheduler.spec.cells())} cell(s), {args.workers} worker(s))")
-            progress(f"manifest:  {scheduler.manifest_dir}")
-            for family, mode in scheduler.spec.skipped_combinations():
-                print(f"warning:   skipping {family} x {mode} (unsupported mode)",
-                      file=sys.stderr)
-            result = scheduler.run(resume=resume, progress=progress)
-    except ManifestError as error:
-        return _fail(args, "manifest-error", str(error))
-    except ValueError as error:
-        return _fail(args, "invalid-request", str(error))
-    except OSError as error:
-        return _fail(args, "os-error",
-                     f"cannot write report, cache, or manifest: {error}")
-    exit_code = 0 if result.trustworthy else 1
+    spec, campaign_id, resume = _matrix_spec_from_args(args)
+    if spec is None:
+        scheduler = MatrixScheduler.resume(campaign_id, **_scheduler_options(args))
+    else:
+        scheduler = MatrixScheduler(spec, campaign_id=campaign_id, **_scheduler_options(args))
+    progress(f"campaign:  {scheduler.campaign_id} "
+             f"({len(scheduler.spec.cells())} cell(s), {args.workers} worker(s))")
+    progress(f"manifest:  {scheduler.manifest_dir}")
+    for family, mode in scheduler.spec.skipped_combinations():
+        print(f"warning:   skipping {family} x {mode} (unsupported mode)", file=sys.stderr)
+    result = scheduler.run(resume=resume, progress=progress)
+    document = ToolResult(tool="campaign-matrix", data={
+        "campaign_id": result.campaign_id,
+        "manifest_path": result.manifest_path,
+        "summary_path": result.summary_path,
+        "cells": result.rows,
+        "totals": result.totals,
+        "reused_cells": result.reused_cells,
+        "skipped_combinations": [list(pair) for pair in result.skipped_combinations],
+        "wall_seconds": result.wall_seconds,
+        "trustworthy": result.trustworthy,
+    })
     if args.json:
-        return _emit(ToolResult(tool="campaign-matrix", data={
-            "campaign_id": result.campaign_id,
-            "manifest_path": result.manifest_path,
-            "summary_path": result.summary_path,
-            "cells": result.rows,
-            "totals": result.totals,
-            "reused_cells": result.reused_cells,
-            "skipped_combinations": [list(pair) for pair in result.skipped_combinations],
-            "wall_seconds": result.wall_seconds,
-            "trustworthy": result.trustworthy,
-        }))
+        return document
     print(format_cell_table(result.rows, result.totals))
     if result.reused_cells:
         print(f"resumed:   {result.reused_cells} cell(s) reused from the queue")
@@ -908,39 +832,30 @@ def _command_campaign_matrix(args) -> int:
         if row["reference_violated"]:
             print(f"warning:   {row['cell']}: the UNMUTATED reference circuit violates "
                   "the specification — its mutant verdicts are suspect", file=sys.stderr)
-    return exit_code
+    return document
 
 
-def _command_campaign_join(args) -> int:
+def _command_campaign_join(args) -> ToolResult:
     """``campaign --join <id>``: drain an existing campaign's fabric queue."""
     progress = (lambda message: None) if args.json else print
-    try:
-        with _session(args) as session:
-            scheduler = session.join_matrix_scheduler(args.join)
-            progress(f"join:      {scheduler.campaign_id} as worker "
-                     f"{os.getpid()} ({args.workers} worker(s))")
-            progress(f"manifest:  {scheduler.manifest_dir}")
-            result = scheduler.run_join(progress=progress)
-    except ManifestError as error:
-        return _fail(args, "manifest-error", str(error))
-    except ValueError as error:
-        return _fail(args, "invalid-request", str(error))
-    except OSError as error:
-        return _fail(args, "os-error",
-                     f"cannot write report, cache, or queue files: {error}")
-    exit_code = 0 if result.trustworthy else 1
+    scheduler = MatrixScheduler.join(args.join, **_scheduler_options(args))
+    progress(f"join:      {scheduler.campaign_id} as worker "
+             f"{os.getpid()} ({args.workers} worker(s))")
+    progress(f"manifest:  {scheduler.manifest_dir}")
+    result = scheduler.run_join(progress=progress)
+    document = ToolResult(tool="campaign-join", data={
+        "campaign_id": result.campaign_id,
+        "manifest_path": result.manifest_path,
+        "queue_dir": result.queue_dir,
+        "cells": result.rows,
+        "totals": result.totals,
+        "counters": result.counters,
+        "cells_executed": result.cells_executed,
+        "wall_seconds": result.wall_seconds,
+        "trustworthy": result.trustworthy,
+    })
     if args.json:
-        return _emit(ToolResult(tool="campaign-join", data={
-            "campaign_id": result.campaign_id,
-            "manifest_path": result.manifest_path,
-            "queue_dir": result.queue_dir,
-            "cells": result.rows,
-            "totals": result.totals,
-            "counters": result.counters,
-            "cells_executed": result.cells_executed,
-            "wall_seconds": result.wall_seconds,
-            "trustworthy": result.trustworthy,
-        }))
+        return document
     if result.rows:
         print(format_cell_table(result.rows, result.totals))
     else:
@@ -957,7 +872,7 @@ def _command_campaign_join(args) -> int:
         print("warning:   conflicting completion fingerprints — deterministic "
               "verification should make this impossible; inspect the queue "
               f"records under {result.queue_dir}", file=sys.stderr)
-    return exit_code
+    return document
 
 
 def _campaign_ls_row(directory: str, campaign_id: str, cell_ids: list) -> dict:
@@ -1000,35 +915,41 @@ def _campaign_ls_row(directory: str, campaign_id: str, cell_ids: list) -> dict:
     }
 
 
-def _command_campaign_ls(args) -> int:
-    """``campaign ls``: list every manifest with cell counts by verdict."""
-    directory = args.manifest_dir or default_manifest_dir()
-    campaign_ids = list_campaign_ids(directory)
-    listing = []
-    unreadable = []
-    for campaign_id in campaign_ids:
+def _campaign_listing(directory: str):
+    """``(rows, unreadable)``: one ``campaign ls`` row per readable manifest,
+    and ``(campaign_id, error)`` for each manifest that cannot be read."""
+    rows, unreadable = [], []
+    for campaign_id in list_campaign_ids(directory):
         try:
             manifest = CampaignManifest.load(directory, campaign_id)
         except ManifestError as error:
             unreadable.append((campaign_id, str(error)))
             continue
-        listing.append(_campaign_ls_row(directory, campaign_id, manifest.cell_ids))
+        rows.append(_campaign_ls_row(directory, campaign_id, manifest.cell_ids))
+    return rows, unreadable
+
+
+def _command_campaign_ls(args) -> ToolResult:
+    """``campaign ls``: list every manifest with cell counts by verdict."""
+    directory = args.manifest_dir or default_manifest_dir()
+    listing, unreadable = _campaign_listing(directory)
+    result = ToolResult(tool="campaign-ls", data={
+        "manifest_dir": directory,
+        "campaigns": listing,
+        # corruption must be visible to document consumers, not stderr-only
+        "unreadable": [
+            {"campaign_id": campaign_id, "error": error}
+            for campaign_id, error in unreadable
+        ],
+    })
     if args.json:
         for campaign_id, error in unreadable:
             print(f"{campaign_id:<24} (unreadable: {error})", file=sys.stderr)
-        return _emit(ToolResult(tool="campaign-ls", data={
-            "manifest_dir": directory,
-            "campaigns": listing,
-            # corruption must be visible to document consumers, not stderr-only
-            "unreadable": [
-                {"campaign_id": campaign_id, "error": error}
-                for campaign_id, error in unreadable
-            ],
-        }))
+        return result
     print(f"manifests: {directory}")
-    if not campaign_ids:
+    if not listing and not unreadable:
         print("(no campaign manifests)")
-        return 0
+        return result
     header = (f"{'campaign':<24} {'cells':>9} {'jobs':>7} {'holds':>7} "
               f"{'violated':>8} {'unsup':>6} {'errors':>6} {'owner':>16} "
               f"{'hb-age':>7} {'att':>4}  status")
@@ -1055,81 +976,60 @@ def _command_campaign_ls(args) -> int:
               f"{row['holds']:>7} {row['violated']:>8} {row['unsupported']:>6} "
               f"{row['errors']:>6} {owner:>16} {age_text:>7} "
               f"{row.get('attempts', 0):>4}  {status}")
-    return 0
+    return result
 
 
-def _command_campaign(args) -> int:
+def _refuse_flags(args, flags, reason: str) -> None:
+    """``ValueError`` naming every one of ``flags`` (option names) that was given."""
+    given = [flag for flag in flags
+             if getattr(args, flag.lstrip("-").replace("-", "_")) is not None]
+    if given:
+        raise ValueError(f"{reason}; drop {', '.join(given)}")
+
+
+_SWEEP_FLAGS = ("--family", "--families", "--matrix", "--resume", "--sizes", "--modes",
+                "--mutants", "--mutations", "--corpus")
+
+
+def _command_campaign(args) -> Result:
     if args.action == "ls":
-        conflicting = [flag for flag, value in (
-            ("--family", args.family), ("--families", args.families),
-            ("--matrix", args.matrix), ("--resume", args.resume),
-            ("--join", args.join),
-            ("--sizes", args.sizes), ("--modes", args.modes),
-            ("--mutants", args.mutants), ("--mutations", args.mutations),
-            ("--corpus", args.corpus),
-        ) if value is not None]
-        if conflicting:
-            return _fail(args, "invalid-request",
-                         f"campaign ls only lists manifests; drop {', '.join(conflicting)}")
+        _refuse_flags(args, _SWEEP_FLAGS + ("--join",), "campaign ls only lists manifests")
         return _command_campaign_ls(args)
     if args.join is not None:
-        conflicting = [flag for flag, value in (
-            ("--family", args.family), ("--families", args.families),
-            ("--matrix", args.matrix), ("--resume", args.resume),
-            ("--sizes", args.sizes), ("--modes", args.modes),
-            ("--mutants", args.mutants), ("--mutations", args.mutations),
-            ("--corpus", args.corpus), ("--campaign-id", args.campaign_id),
-            ("--server", args.server),
-        ) if value is not None]
-        if conflicting:
-            return _fail(args, "invalid-request",
-                         "--join attaches to an existing campaign (its spec comes from "
-                         f"the manifest); drop {', '.join(conflicting)}")
+        _refuse_flags(args, _SWEEP_FLAGS + ("--campaign-id", "--server"),
+                      "--join attaches to an existing campaign (its spec comes from "
+                      "the manifest)")
         return _command_campaign_join(args)
     if args.matrix or args.families or args.resume or args.sizes or args.modes:
         if args.family is not None:
-            return _fail(args, "invalid-request",
-                         "--family selects a single campaign; use --families for a "
-                         "matrix sweep")
+            raise ValueError("--family selects a single campaign; use --families for a "
+                             "matrix sweep")
         if args.corpus is not None:
-            return _fail(args, "invalid-request",
-                         "--corpus gates single-family sweeps only; replay the corpus "
-                         "with 'fuzz replay' before a matrix sweep")
+            raise ValueError("--corpus gates single-family sweeps only; replay the corpus "
+                             "with 'fuzz replay' before a matrix sweep")
         if args.server is not None:
-            return _fail(args, "invalid-request",
-                         "matrix campaigns run locally (they own a manifest on this "
-                         "host); --server only supports single-family sweeps")
+            raise ValueError("matrix campaigns run locally (they own a manifest on this "
+                             "host); --server only supports single-family sweeps")
         return _command_campaign_matrix(args)
     if args.family is None:
-        return _fail(args, "invalid-request",
-                     "campaign needs --family (single sweep), or --matrix/--families "
-                     "(matrix sweep), or --resume <id>")
+        raise ValueError("campaign needs --family (single sweep), or --matrix/--families "
+                         "(matrix sweep), or --resume <id>")
     mutations = args.mutations if args.mutations is not None else "insert"
-    kinds = tuple(kind.strip() for kind in mutations.split(",") if kind.strip())
     from .fuzz.corpus import default_corpus_dir
 
-    corpus_dir = args.corpus or default_corpus_dir()
-    try:
-        problem = CampaignProblem(
-            family=args.family,
-            size=args.size,
-            mutants=args.mutants if args.mutants is not None else 100,
-            mutation_kinds=kinds,
-            mode=args.mode,
-            seed=args.seed if args.seed is not None else 0,
-            include_reference=not args.skip_reference,
-            report_path=args.report,
-            corpus_dir=corpus_dir,
-        )
-        result = _answer(args, problem)
-    except ValueError as error:
-        return _fail(args, "invalid-request", str(error))
-    except OSError as error:
-        return _fail(args, "os-error", f"cannot write report or cache: {error}")
-    if isinstance(result, int):
-        return result
+    result = _answer(args, CampaignProblem(
+        family=args.family,
+        size=args.size,
+        mutants=args.mutants if args.mutants is not None else 100,
+        mutation_kinds=tuple(kind.strip() for kind in mutations.split(",") if kind.strip()),
+        mode=args.mode,
+        seed=args.seed if args.seed is not None else 0,
+        include_reference=not args.skip_reference,
+        report_path=args.report,
+        corpus_dir=args.corpus or default_corpus_dir(),
+    ))
     if args.json:
-        return _emit(result)
+        return result
     print(f"campaign:  {result.benchmark} ({result.mode} mode, {result.workers} worker(s))")
     unsupported = f", unsupported: {result.unsupported}" if result.unsupported else ""
     print(f"jobs:      {result.jobs}  (holds: {result.holds}, violated: {result.violated}, "
@@ -1154,9 +1054,7 @@ def _command_campaign(args) -> int:
     if result.reference_violated:
         print("warning:   the UNMUTATED reference circuit violates the specification — "
               "every mutant verdict above is suspect", file=sys.stderr)
-    # finding violated mutants is the campaign's purpose, but crashed jobs or a
-    # broken specification mean the sweep itself cannot be trusted
-    return result.exit_code
+    return result
 
 
 # ---------------------------------------------------------------------- fuzz
@@ -1175,51 +1073,45 @@ def _format_finding(row) -> str:
     return " ".join(pieces)
 
 
-def _command_fuzz(args) -> int:
+def _command_fuzz(args) -> Result:
     """``fuzz``: budgeted differential run; ``fuzz replay <dir>``: regression gate."""
     from .fuzz.corpus import default_corpus_dir
 
     corpus_dir = args.corpus or default_corpus_dir()
-    try:
-        if args.action == "replay":
-            target = args.corpus_path or corpus_dir
-            if target is None:
-                return _fail(args, "invalid-request",
-                             "fuzz replay needs a corpus directory (positional, "
+    if args.action == "replay":
+        target = args.corpus_path or corpus_dir
+        if target is None:
+            raise ValueError("fuzz replay needs a corpus directory (positional, "
                              "--corpus, or $AUTOQ_REPRO_FUZZ_CORPUS)")
-            problem = FuzzProblem(replay=True, corpus_dir=target)
-        else:
-            extra = {}
-            if args.checks is not None:
-                extra["checks"] = tuple(
-                    check.strip() for check in args.checks.split(",") if check.strip()
-                )
-            if args.modes is not None:
-                extra["modes"] = tuple(
-                    mode.strip() for mode in args.modes.split(",") if mode.strip()
-                )
-            if args.mutations is not None:
-                extra["mutation_kinds"] = tuple(
-                    kind.strip() for kind in args.mutations.split(",") if kind.strip()
-                )
-            problem = FuzzProblem(
-                budget_seconds=args.budget,
-                seed=args.seed,
-                max_qubits=args.max_qubits,
-                max_gates=args.max_gates,
-                corpus_dir=corpus_dir,
-                max_cases=args.cases,
-                include_path_sum=args.path_sum,
-                **extra,
+        problem = FuzzProblem(replay=True, corpus_dir=target)
+    else:
+        extra = {}
+        if args.checks is not None:
+            extra["checks"] = tuple(
+                check.strip() for check in args.checks.split(",") if check.strip()
             )
-        with _session(args) as session:
-            result = session.run(problem)
-    except ValueError as error:  # includes CorpusError (malformed entries)
-        return _fail(args, "invalid-request", str(error))
-    except OSError as error:
-        return _fail(args, "os-error", f"cannot read or write the corpus: {error}")
+        if args.modes is not None:
+            extra["modes"] = tuple(
+                mode.strip() for mode in args.modes.split(",") if mode.strip()
+            )
+        if args.mutations is not None:
+            extra["mutation_kinds"] = tuple(
+                kind.strip() for kind in args.mutations.split(",") if kind.strip()
+            )
+        problem = FuzzProblem(
+            budget_seconds=args.budget,
+            seed=args.seed,
+            max_qubits=args.max_qubits,
+            max_gates=args.max_gates,
+            corpus_dir=corpus_dir,
+            max_cases=args.cases,
+            include_path_sum=args.path_sum,
+            **extra,
+        )
+    with _session(args) as session:
+        result = session.run(problem)
     if args.json:
-        return _emit(result)
+        return result
     if result.replay:
         print(f"replayed:  {result.replayed} corpus entry(ies) "
               f"in {result.elapsed_seconds:.2f}s")
@@ -1238,13 +1130,13 @@ def _command_fuzz(args) -> int:
         print("corpus clean: every entry re-verified on this tree")
     else:
         print("no divergences: every oracle agreed on every case")
-    return result.exit_code
+    return result
 
 
 # ------------------------------------------------------------------- service
 
 
-def _command_serve(args) -> int:
+def _command_serve(args) -> ToolResult:
     """``serve``: answer problem documents over HTTP from one warm runtime."""
     import signal
 
@@ -1255,27 +1147,17 @@ def _command_serve(args) -> int:
     # default eagerly so every request (not just campaigns) hits the store
     cache_dir = "" if args.no_cache else args.cache_dir
     store_dir = resolve_store_dir(cache_dir, "" if args.no_store else args.store_dir)
-    try:
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            request_timeout=args.timeout,
-            max_in_flight=args.max_in_flight,
-            session=SessionConfig(
-                cache_dir=cache_dir,
-                store_dir="" if store_dir is None else store_dir,
-            ),
-        )
-    except ValueError as error:
-        return _fail(args, "invalid-request", str(error))
-    try:
-        server = ServiceServer(config)
-    except ValueError as error:
-        return _fail(args, "invalid-request", str(error))
-    except OSError as error:
-        return _fail(args, "os-error",
-                     f"cannot bind {args.host}:{args.port}: {error}")
+    server = ServiceServer(ServiceConfig(
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        request_timeout=args.timeout,
+        max_in_flight=args.max_in_flight,
+        session=SessionConfig(
+            cache_dir=cache_dir,
+            store_dir="" if store_dir is None else store_dir,
+        ),
+    ))
 
     # the URL line is the daemon's startup contract: wrappers (the smoke
     # script, CI) pass --port 0 and parse it to discover the bound port
@@ -1298,7 +1180,12 @@ def _command_serve(args) -> int:
         server.stop(drain=True)
 
     metrics = server.service.metrics
-    summary = ToolResult(tool="serve", data={
+    if not args.json:
+        served = sum(metrics.requests_total.values())
+        failed = sum(metrics.failures_total.values())
+        print(f"served:    {served} request(s), {failed} failure(s), "
+              f"{metrics.rejected_total} rejected")
+    return ToolResult(tool="serve", data={
         "url": server.url,
         "uptime_seconds": round(server.service.uptime_seconds, 3),
         "requests": dict(metrics.requests_total),
@@ -1307,17 +1194,26 @@ def _command_serve(args) -> int:
         "timeouts": metrics.timeouts_total,
         "sse_records": metrics.sse_records_total,
     })
-    if args.json:
-        return _emit(summary)
-    served = sum(metrics.requests_total.values())
-    failed = sum(metrics.failures_total.values())
-    print(f"served:    {served} request(s), {failed} failure(s), "
-          f"{metrics.rejected_total} rejected")
-    return 0
+
+
+#: what each command was doing when the operating system refused it; the
+#: entry prefixes an ``os-error`` message (formatted with the command's flags)
+_OS_ERROR_CONTEXT = {
+    "campaign": "cannot write report, cache, manifest or queue files",
+    "fuzz": "cannot read or write the corpus",
+    "cache": "cannot open the store",
+    "serve": "cannot bind {host}:{port}",
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for the ``autoq-repro`` console script."""
+    """Entry point for the ``autoq-repro`` console script.
+
+    Every subcommand returns its typed result; this is the one place that
+    prints the ``--json`` document, maps a failure to an ``error`` document
+    (or an ``error: …`` stderr line) and picks the exit code, which is always
+    the result's own.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -1335,7 +1231,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "cache": _command_cache,
         "serve": _command_serve,
     }
-    return handlers[args.command](args)
+    reason = None
+    try:
+        result = handlers[args.command](args)
+    except ServiceError as error:  # the daemon's own error document, relayed
+        result, reason = error.result, str(error)
+    except ManifestError as error:  # a ValueError subclass: caught first
+        result = ErrorResult("manifest-error", str(error))
+    except ValueError as error:
+        result = ErrorResult("invalid-request", str(error))
+    except OSError as error:
+        context = _OS_ERROR_CONTEXT.get(args.command)
+        message = str(error) if context is None else f"{context.format(**vars(args))}: {error}"
+        result = ErrorResult("os-error", message)
+    if args.json:
+        print(result.to_json())
+    elif isinstance(result, ErrorResult):
+        print(f"error: {reason or result.message}", file=sys.stderr)
+    return result.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

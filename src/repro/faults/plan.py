@@ -178,16 +178,20 @@ class FaultPlan:
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
 
+    @classmethod
+    def parse(cls, value: str) -> "FaultPlan":
+        """A plan given as text (``--faults``, ``AUTOQ_REPRO_FAULTS``): inline
+        JSON when it starts with ``{``, else the path of a JSON plan file."""
+        value = value.strip()
+        if value.startswith("{"):
+            return cls.from_json(value)
+        return cls.from_file(value)
+
 
 def plan_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:
     """The plan named by ``AUTOQ_REPRO_FAULTS``: inline JSON or a file path."""
     value = (environ if environ is not None else os.environ).get(FAULTS_ENV_VAR)
-    if not value:
-        return None
-    value = value.strip()
-    if value.startswith("{"):
-        return FaultPlan.from_json(value)
-    return FaultPlan.from_file(value)
+    return FaultPlan.parse(value) if value else None
 
 
 class FaultInjector:

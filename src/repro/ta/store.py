@@ -69,6 +69,7 @@ __all__ = [
     "DEFAULT_FAULT_THRESHOLD",
     "default_store_dir",
     "open_store",
+    "refuse_url",
     "fingerprint",
     "StoreEntry",
     "AutomatonStore",
@@ -145,13 +146,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _refuse_url(location: str) -> None:
-    """Raise ``ValueError`` for an ``http(s)://`` store location.
+def refuse_url(location: Optional[str]) -> None:
+    """Raise ``ValueError`` for an ``http(s)://`` store location (``None``,
+    no store, passes).
 
     The store has one transport, a directory; without this check a URL would
     silently become a relative directory named ``http:``.
     """
-    if location.startswith(("http://", "https://")):
+    if location is not None and location.startswith(("http://", "https://")):
         raise ValueError(
             f"store location {location!r} is a URL; the automaton store is a "
             "directory — to share one between hosts, put --store-dir on the "
@@ -233,7 +235,7 @@ class AutomatonStore:
 
     def __init__(self, directory: str, retry: Optional[RetryPolicy] = None,
                  fault_threshold: int = DEFAULT_FAULT_THRESHOLD):
-        _refuse_url(directory)
+        refuse_url(directory)
         self.directory = directory
         self.counters = {"hits": 0, "misses": 0, "publishes": 0, "rejected": 0,
                          "quarantined": 0, "retries": 0}
@@ -470,7 +472,7 @@ class AutomatonStore:
         invalidation is visible before it happens.  A URL location raises
         ``ValueError`` here too.
         """
-        _refuse_url(directory)
+        refuse_url(directory)
         entries = 0
         total_bytes = 0
         for path in AutomatonStore._walk_entries(directory):

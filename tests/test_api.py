@@ -1,7 +1,6 @@
 """Tests for the typed service layer: problems, sessions, results, schema."""
 
 import json
-import os
 import threading
 
 import pytest
@@ -476,22 +475,3 @@ class TestCampaignRecordSchema:
             record = json.loads(handle.readline())
         payload = record["statistics"]
         assert EngineStatistics.from_dict(payload).to_dict() == payload
-
-
-class TestMatrixThroughSession:
-    def test_run_matrix_uses_session_configuration(self, tmp_path):
-        from repro.campaign import MatrixSpec
-
-        spec = MatrixSpec.from_mapping(
-            {"families": "mctoffoli", "sizes": 2, "modes": "hybrid", "mutants": 2}
-        )
-        config = SessionConfig(
-            cache_dir="",
-            manifest_dir=str(tmp_path / "manifests"),
-            report_dir=str(tmp_path / "reports"),
-        )
-        with Session(config) as session:
-            result = session.run_matrix(spec)
-        assert result.totals["jobs"] == 3
-        assert os.path.exists(result.summary_path)
-        assert result.trustworthy

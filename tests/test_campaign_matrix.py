@@ -9,6 +9,7 @@ import pytest
 from repro.benchgen.families import (
     FAMILY_BUILDERS,
     FAMILY_CAPABILITIES,
+    build_family,
     default_campaign_sizes,
     family_capability,
     validate_family_mode,
@@ -44,6 +45,11 @@ class TestFamilyCapabilities:
     def test_size_below_minimum_rejected(self):
         with pytest.raises(ValueError):
             validate_family_size("grover", 1)
+
+    def test_build_family_checks_the_size(self):
+        # the check, not the builder, refuses it: every caller gets one message
+        with pytest.raises(ValueError, match="family 'bv' needs size >= 1, got 0"):
+            build_family("bv", 0)
 
     def test_unsupported_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -278,6 +284,18 @@ def _scheduler(tmp_path, spec, **overrides) -> MatrixScheduler:
 
 
 class TestMatrixScheduler:
+    @pytest.mark.parametrize("start", [
+        lambda **settings: MatrixScheduler(_spec(), **settings).run(),
+        lambda **settings: MatrixScheduler.resume("mx-nightly", **settings).run(resume=True),
+        lambda **settings: MatrixScheduler.join("mx-nightly", **settings).run_join(),
+    ], ids=["fresh", "resume", "join"])
+    def test_url_store_is_refused_before_anything_is_read_or_written(self, start, tmp_path):
+        manifests, reports = tmp_path / "manifests", tmp_path / "reports"
+        with pytest.raises(ValueError, match="is a URL"):
+            start(store_dir="http://127.0.0.1:8642", manifest_dir=str(manifests),
+                  report_dir=str(reports))
+        assert not manifests.exists() and not reports.exists()
+
     def test_in_process_cells_share_one_runtime_per_run(self, tmp_path, monkeypatch):
         import repro.campaign.runner as runner_module
         from repro.core.engine import default_gate_runtime

@@ -879,6 +879,123 @@ class TestJsonErrorEnvelope:
         assert not captured.out.strip()
 
 
+class TestOneExitPath:
+    """Every subcommand returns its result or raises; ``main()`` alone turns
+    a failure into the ``error`` document (or the ``error: …`` line) and
+    takes the exit code from the result in both output modes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "bv", "--size", "0"],
+        ["generate", "--family", "bv", "--size", "0", "out.qasm"],
+        ["export-ta", "--family", "bv", "--size", "0", "--which", "pre", "out.tb"],
+        ["simulate", "h.qasm", "--input", "0x"],
+        ["equivalence", "h.qasm", "h.qasm", "--single-input", "0x"],
+        ["stats", "missing.qasm"],
+        ["inject", "missing.qasm", "out.qasm"],
+        ["baselines", "missing.qasm", "h.qasm"],
+    ], ids=lambda argv: argv[0])
+    def test_refused_arguments_are_invalid_requests(self, argv, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.chdir(tmp_path)
+        save_qasm_file(Circuit(1).add("h", 0), "h.qasm")
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.err
+        document = json.loads(captured.out)
+        assert (document["kind"], document["error"]) == ("error", "invalid-request")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        assert sorted(os.listdir(tmp_path)) == ["h.qasm"]
+
+    def test_join_whose_jobs_all_error_exits_1_in_both_modes(self, tmp_path, capsys):
+        from repro.api import Result
+        from repro.campaign import MatrixScheduler, MatrixSpec
+
+        faults = json.dumps({"seed": 0, "sites": {"worker.cell": {"kind": "raise",
+                                                                   "every": 1}}})
+        for mode in ("text", "json"):
+            manifests = str(tmp_path / mode / "manifests")
+            reports = str(tmp_path / mode / "reports")
+            MatrixScheduler(
+                MatrixSpec.from_mapping({"families": ["bv"], "sizes": 3, "mutants": 1}),
+                campaign_id="t1", manifest_dir=manifests, report_dir=reports,
+                cache_dir="", store_dir="",
+            ).plan()
+            argv = ["campaign", "--join", "t1", "--manifest-dir", manifests,
+                    "--report-dir", reports, "--no-cache", "--no-store", "--faults", faults]
+            assert main(argv + (["--json"] if mode == "json" else [])) == 1
+            out = capsys.readouterr().out
+            if mode == "json":
+                document = Result.from_json(out)
+                assert document.data["totals"]["errors"] == 2
+                assert document.exit_code == 1
+
+
+@pytest.fixture(scope="class")
+def daemon():
+    """An in-process ``serve`` daemon with no result cache and no store."""
+    from repro.api import SessionConfig
+    from repro.service import ServiceConfig, ServiceServer
+
+    server = ServiceServer(ServiceConfig(
+        port=0, session=SessionConfig(cache_dir="", store_dir=""))).start()
+    yield server
+    server.stop()
+
+
+def _daemon_counter(server, sample: str) -> float:
+    """One sample of the daemon's ``/metrics`` page (0 while it is absent)."""
+    from repro.api.client import ServiceClient
+
+    for line in ServiceClient(server.url).metrics_text().splitlines():
+        if line.startswith(sample + " "):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+class TestServerFlag:
+    """``--server URL`` sends the problem to a running daemon: same output,
+    and the daemon's own ``error`` document on failure."""
+
+    def test_verify_runs_on_the_daemon(self, daemon, capsys):
+        sample = 'repro_requests_total{kind="verify"}'
+        before = _daemon_counter(daemon, sample)
+        argv = ["verify", "--family", "bv", "--size", "3", "--server", daemon.url, "--json"]
+        assert main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert (document["kind"], document["holds"]) == ("verify", True)
+        assert _daemon_counter(daemon, sample) == before + 1
+
+    def test_daemon_error_document_is_relayed(self, daemon, bell_qasm, tmp_path, capsys):
+        wider = tmp_path / "ghz3.qasm"
+        save_qasm_file(Circuit(3).add("h", 0).add("cx", 0, 1).add("cx", 1, 2), str(wider))
+        argv = ["equivalence", bell_qasm, str(wider), "--server", daemon.url]
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.err
+        document = json.loads(captured.out)
+        assert (document["kind"], document["error"], document["code"]) == (
+            "error", "invalid-request", 400)
+        assert "2 and 3 qubits" in document["message"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
+    def test_campaign_streams_its_verdicts_from_the_daemon(self, daemon, tmp_path, capsys):
+        import re
+
+        argv = ["campaign", "--family", "bv", "--size", "3", "--mutants", "2",
+                "--report", str(tmp_path / "report.jsonl"), "--server", daemon.url]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        streamed = re.findall(r"^  \[\S+\] (?:holds|violated|error|unsupported)$", out,
+                              flags=re.MULTILINE)
+        assert len(streamed) == 3  # the reference and two mutants
+        assert "jobs:      3" in out
+        assert _daemon_counter(daemon, 'repro_requests_total{kind="campaign"}') == 1
+
+
 class TestCacheCommand:
     def test_stats_on_an_empty_store(self, tmp_path, capsys):
         argv = ["cache", "stats", "--store-dir", str(tmp_path / "store"),
