@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -210,6 +211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             report["daemon_exit"] = daemon.returncode
             if daemon.returncode != 0:
                 print(err, file=sys.stderr)
+        # only once the daemon has exited: it writes into the cache below
+        shutil.rmtree(scratch, ignore_errors=True)
 
     if daemon is not None and report["daemon_exit"] != 0:
         print("FAIL: daemon did not exit cleanly")

@@ -30,7 +30,7 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 from ..algebraic import AlgebraicNumber
 from ..simulator.measurement import measurement_probability
 from ..states import QuantumState
-from ..ta.automaton import TreeAutomaton, symbol_qubit
+from ..ta.automaton import TreeAutomaton
 from ..ta.determinization import count_language
 from .composition import restrict
 
@@ -55,12 +55,10 @@ def amplitudes_at_basis(automaton: TreeAutomaton, basis) -> FrozenSet[AlgebraicN
     automaton = automaton.remove_useless()
     bits = QuantumState._normalise_basis(basis, automaton.num_qubits)
     frontier: Set[int] = set(automaton.roots)
-    for depth, bit in enumerate(bits):
+    for bit in bits:
         next_frontier: Set[int] = set()
         for state in frontier:
-            for symbol, left, right in automaton.internal.get(state, ()):
-                if symbol_qubit(symbol) != depth:
-                    continue
+            for _symbol, left, right in automaton.internal.get(state, ()):
                 next_frontier.add(right if bit else left)
         frontier = next_frontier
     return frozenset(automaton.leaves[state] for state in frontier if state in automaton.leaves)
@@ -77,21 +75,16 @@ def possible_support(automaton: TreeAutomaton, limit: Optional[int] = 4096) -> F
     """
     automaton = automaton.remove_useless()
 
-    # states that can reach a non-zero leaf
+    # states that can reach a non-zero leaf, decided level by level upward
+    levels = automaton.levels()
     fruitful: Set[int] = {
-        state for state, amplitude in automaton.leaves.items() if not amplitude.is_zero()
+        state for state in levels[-1] if not automaton.leaves[state].is_zero()
     }
-    changed = True
-    while changed:
-        changed = False
-        for parent, transitions in automaton.internal.items():
-            if parent in fruitful:
-                continue
-            for _symbol, left, right in transitions:
-                if left in fruitful or right in fruitful:
-                    fruitful.add(parent)
-                    changed = True
-                    break
+    for level in reversed(levels[:-1]):
+        for state in level:
+            if any(left in fruitful or right in fruitful
+                   for _symbol, left, right in automaton.internal[state]):
+                fruitful.add(state)
 
     support: Set[Tuple[int, ...]] = set()
     stack: List[Tuple[int, Tuple[int, ...]]] = [
@@ -145,9 +138,7 @@ def outcome_is_certain(automaton: TreeAutomaton, qubit: int, value: int) -> bool
     for depth in range(qubit + 1):
         next_frontier: Set[int] = set()
         for state in frontier:
-            for symbol, left, right in automaton.internal.get(state, ()):
-                if symbol_qubit(symbol) != depth:
-                    continue
+            for _symbol, left, right in automaton.internal.get(state, ()):
                 if depth == qubit:
                     # descend into the branch of the *other* outcome
                     next_frontier.add(left if value else right)

@@ -181,11 +181,18 @@ class FaultPlan:
     @classmethod
     def parse(cls, value: str) -> "FaultPlan":
         """A plan given as text (``--faults``, ``AUTOQ_REPRO_FAULTS``): inline
-        JSON when it starts with ``{``, else the path of a JSON plan file."""
+        JSON when it starts with ``{``, else the path of a JSON plan file.
+
+        A path that cannot be read is a bad request, not an I/O failure of
+        the run, so it raises :class:`ValueError` naming the path.
+        """
         value = value.strip()
         if value.startswith("{"):
             return cls.from_json(value)
-        return cls.from_file(value)
+        try:
+            return cls.from_file(value)
+        except OSError as error:
+            raise ValueError(f"cannot read fault plan {value!r}: {error.strerror or error}") from error
 
 
 def plan_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:

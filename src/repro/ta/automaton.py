@@ -82,7 +82,7 @@ class TreeAutomaton:
     """A (nondeterministic, finite) tree automaton encoding quantum-state sets."""
 
     __slots__ = ("num_qubits", "roots", "internal", "leaves", "_max_state", "_states",
-                 "_num_transitions", "_depths", "_digest", "_reduced", "_skey", "_by_qubit",
+                 "_num_transitions", "_levels", "_digest", "_reduced", "_skey", "_by_qubit",
                  "_pair_index")
 
     def __init__(
@@ -103,7 +103,7 @@ class TreeAutomaton:
         self._max_state: Optional[int] = None
         self._states: Optional[FrozenSet[int]] = None
         self._num_transitions: Optional[int] = None
-        self._depths: Optional[object] = None
+        self._levels: Optional[Tuple[Tuple[int, ...], ...]] = None
         #: content digest, filled lazily by repro.ta.store.fingerprint
         self._digest: Optional[str] = None
         self._reduced = False
@@ -136,7 +136,7 @@ class TreeAutomaton:
         self._max_state = None
         self._states = None
         self._num_transitions = None
-        self._depths = None
+        self._levels = None
         self._digest = None
         self._reduced = False
         self._skey = None
@@ -242,31 +242,56 @@ class TreeAutomaton:
             )
         return self._skey
 
-    def _state_depths(self) -> Optional[Dict[int, int]]:
-        """``state -> depth`` for every root-reachable state (cached).
+    def levels(self) -> Tuple[Tuple[int, ...], ...]:
+        """The level index: ``levels[q]`` holds the states whose transitions
+        read qubit ``q``, and ``levels[n]`` the leaf states (cached).
 
-        Returns ``None`` when some state is reachable at two different depths
-        (a cycle makes it so too), i.e. the automaton violates the layering
-        every automaton of the framework has; :meth:`validate` and
-        :meth:`reduce` refuse such an automaton.
+        This is the one layering rule of the framework, checked on every
+        state, root-reachable or not.  Every bottom-up pass (useless-state
+        removal, the reduction, the support query) sweeps this index from the
+        leaves upward.  Raises :class:`ValueError` unless
+
+        * no state is both internal and a leaf,
+        * all transitions of a state read one qubit ``q`` with ``0 <= q < n``,
+        * every child of a qubit-``q`` transition is a qubit-``q + 1`` state,
+          or a leaf when ``q = n - 1``,
+        * every root reads qubit 0.
+
+        A state with neither transitions nor an amplitude has no level; it is
+        simply unproductive.
         """
-        if self._depths is None:
-            depths: Dict[int, int] = {}
-            stack: List[Tuple[int, int]] = [(root, 0) for root in self.roots]
-            while stack:
-                state, depth = stack.pop()
-                known = depths.get(state)
-                if known is not None:
-                    if known != depth:
-                        self._depths = False
-                        return None
-                    continue
-                depths[state] = depth
-                for _symbol, left, right in self.internal.get(state, ()):
-                    stack.append((left, depth + 1))
-                    stack.append((right, depth + 1))
-            self._depths = depths
-        return self._depths if self._depths is not False else None
+        if self._levels is None:
+            num_qubits = self.num_qubits
+            leaves = self.leaves
+            level_of: Dict[int, int] = dict.fromkeys(leaves, num_qubits)
+            grouped: List[List[int]] = [[] for _ in range(num_qubits)]
+            for state, transitions in self.internal.items():
+                if state in leaves:
+                    raise ValueError(f"non-layered automaton: state {state} is both internal and a leaf")
+                qubit = transitions[0][0][0]
+                if not 0 <= qubit < num_qubits:
+                    raise ValueError(
+                        f"non-layered automaton: state {state} reads qubit {qubit} of {num_qubits}")
+                level_of[state] = qubit
+                grouped[qubit].append(state)
+            for state, transitions in self.internal.items():
+                qubit = level_of[state]
+                below = qubit + 1
+                for symbol, left, right in transitions:
+                    if symbol[0] != qubit:
+                        raise ValueError(
+                            f"non-layered automaton: state {state} reads qubits {qubit} and {symbol[0]}")
+                    if level_of.get(left, below) != below or level_of.get(right, below) != below:
+                        child = left if level_of.get(left, below) != below else right
+                        raise ValueError(
+                            f"non-layered automaton: child {child} of qubit-{qubit} state {state} "
+                            f"is not at level {below} (a state reachable at two depths, or on a cycle)")
+            for root in self.roots:
+                if level_of.get(root, 0) != 0:
+                    raise ValueError(
+                        f"non-layered automaton: root {root} is at level {level_of[root]}, not 0")
+            self._levels = tuple(map(tuple, grouped)) + (tuple(leaves),)
+        return self._levels
 
     def is_tagged(self) -> bool:
         """True iff any internal symbol carries composition tags."""
@@ -305,27 +330,8 @@ class TreeAutomaton:
 
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`ValueError` on violation.
-
-        * no state is both internal and leaf,
-        * all states reachable from a root at depth ``d`` carry symbols of
-          qubit ``d`` (the layering assumed by the gate transformers),
-        * leaf states appear exactly below the last qubit level.
-        """
-        overlap = set(self.internal) & set(self.leaves)
-        if overlap:
-            raise ValueError(f"states are both internal and leaf: {sorted(overlap)[:5]}")
-        depths = self._state_depths()
-        if depths is None:
-            raise ValueError("a state is reachable at two depths (or lies on a cycle)")
-        for state, depth in depths.items():
-            if state in self.leaves and depth != self.num_qubits:
-                raise ValueError(f"leaf state {state} reachable at depth {depth} != {self.num_qubits}")
-            for symbol, _left, _right in self.internal.get(state, ()):
-                if symbol_qubit(symbol) != depth:
-                    raise ValueError(
-                        f"state {state} at depth {depth} has a transition on qubit {symbol_qubit(symbol)}"
-                    )
+        """Raise :class:`ValueError` unless the automaton is layered (:meth:`levels`)."""
+        self.levels()
 
     # ---------------------------------------------------------------- algebra
     def relabelled(self) -> "TreeAutomaton":
@@ -352,8 +358,11 @@ class TreeAutomaton:
         """Drop states that are not both reachable (top-down) and productive (bottom-up).
 
         Runs :func:`repro.ta.kernel.reference.remove_useless` through the
-        kernel instance (:mod:`repro.ta.kernel`); returns ``self`` (identity)
-        when no state is useless.
+        kernel instance (:mod:`repro.ta.kernel`): one sweep of
+        :meth:`levels` from the leaves upward decides productivity.  Returns
+        ``self`` (identity) when no state is useless, and raises
+        :class:`ValueError` when the automaton is not layered, as
+        :meth:`validate` does.
         """
         from .kernel import active_backend
 
@@ -365,9 +374,10 @@ class TreeAutomaton:
         This is the paper's "lightweight simulation-based reduction": two
         states are merged when they have exactly the same successor transitions
         (after previous merges), which is a congruence refinement computed
-        bottom-up.  Useless states are removed first, then one layered sweep
-        merges the rest; an automaton that is not layered (a state reachable
-        at two depths) is refused with :class:`ValueError`.
+        bottom-up.  Useless states are removed first, then one sweep of
+        :meth:`levels` from the leaves upward merges the rest; an automaton
+        that is not layered is refused with :class:`ValueError`, as
+        :meth:`validate` refuses it.
 
         The result is a pure function of this automaton and nothing here
         caches it: an automaton ``reduce()`` returned answers a second

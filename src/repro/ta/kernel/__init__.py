@@ -2,7 +2,8 @@
 
 ``binary_operation`` (the Algorithm 9 product construction),
 ``remove_useless`` and the layered ``reduce`` sweep are implemented once, in
-pure Python, in :mod:`repro.ta.kernel.reference`.  Callers
+pure Python, in :mod:`repro.ta.kernel.reference`; the last two sweep the
+automaton's level index (``TreeAutomaton.levels()``) bottom-up.  Callers
 (:meth:`TreeAutomaton.remove_useless <repro.ta.automaton.TreeAutomaton.remove_useless>`,
 :meth:`TreeAutomaton.reduce <repro.ta.automaton.TreeAutomaton.reduce>` and
 :func:`repro.core.composition.binary_operation`) reach them through the one

@@ -4,9 +4,12 @@ These are the three tree-automaton operations every gate transformer comes
 down to.  The functions are deterministic down to the state ids they assign
 and the order of the transition tuples they build, so equal inputs give
 automata with equal ``structure_key()`` fingerprints; the gate memo and the
-on-disk store rely on that.  The reduction is the layered one: every
-automaton the framework builds is layered (level ``i`` carries only ``x_i``
-symbols, leaves sit at depth ``n``), and a non-layered input is refused.
+on-disk store rely on that.  Every automaton the framework builds is
+layered (level ``q`` states read only qubit ``q``, leaves sit on level
+``n``), so ``remove_useless`` and ``reduce_layered`` each sweep the level
+index :meth:`TreeAutomaton.levels <repro.ta.automaton.TreeAutomaton.levels>`
+from the leaves upward, and both refuse a non-layered input with
+:class:`ValueError`.
 
 :class:`ReferenceBackend` exposes the functions as methods of one instance
 (:func:`repro.ta.kernel.active_backend`);
@@ -32,54 +35,31 @@ __all__ = [
 def remove_useless(automaton: TreeAutomaton) -> TreeAutomaton:
     """Drop states that are not both reachable (top-down) and productive (bottom-up).
 
-    Productivity is computed with a counting worklist (one pass over the
-    transitions plus one event per state that turns productive), not a
-    repeated fixpoint sweep, so the common no-op case costs O(transitions).
-    Returns ``automaton`` itself (identity) when every state is useful.
+    Every child of a level-``q`` state sits on level ``q + 1`` (or has no
+    level and never produces), so one sweep of ``automaton.levels()`` from
+    the leaves upward decides productivity, and one sweep down from the roots
+    decides reachability.  Returns ``automaton`` itself (identity) when every
+    state is useful; raises :class:`ValueError` when it is not layered.
     """
+    levels = automaton.levels()
     internal = automaton.internal
     # productive = can generate at least one subtree
-    productive: Set[int] = set(automaton.leaves)
-    # per-transition countdown of unproductive children; child -> cells to
-    # decrement when it turns productive
-    trigger: Dict[int, List[List[int]]] = {}
-    queue: List[int] = []
-    for parent, transitions in internal.items():
-        for _symbol, left, right in transitions:
-            if parent in productive:
-                break
-            waiting = [child for child in {left, right} if child not in productive]
-            if any(child not in internal for child in waiting):
-                continue  # a child with no rules at all can never produce
-            if not waiting:
-                productive.add(parent)
-                queue.append(parent)
-                break
-            cell = [parent, len(waiting)]
-            for child in waiting:
-                trigger.setdefault(child, []).append(cell)
-    while queue:
-        state = queue.pop()
-        for cell in trigger.get(state, ()):
-            cell[1] -= 1
-            if cell[1] == 0 and cell[0] not in productive:
-                productive.add(cell[0])
-                queue.append(cell[0])
+    productive: Set[int] = set(levels[-1])
+    for level in reversed(levels[:-1]):
+        for state in level:
+            for _symbol, left, right in internal[state]:
+                if left in productive and right in productive:
+                    productive.add(state)
+                    break
     # reachable = reachable from a root through productive transitions
-    reachable: Set[int] = set()
-    stack = [root for root in automaton.roots if root in productive]
-    while stack:
-        state = stack.pop()
-        if state in reachable:
-            continue
-        reachable.add(state)
-        for _symbol, left, right in internal.get(state, ()):
-            if left in productive and right in productive:
-                if left not in reachable:
-                    stack.append(left)
-                if right not in reachable:
-                    stack.append(right)
-    keep = reachable
+    keep: Set[int] = {root for root in automaton.roots if root in productive}
+    for level in levels[:-1]:
+        for state in level:
+            if state in keep:
+                for _symbol, left, right in internal[state]:
+                    if left in productive and right in productive:
+                        keep.add(left)
+                        keep.add(right)
     if len(keep) == len(automaton.states):
         # every state is useful, so no transition can be dropped either
         return automaton
@@ -100,38 +80,28 @@ def remove_useless(automaton: TreeAutomaton) -> TreeAutomaton:
 
 
 def reduce_layered(automaton: TreeAutomaton) -> TreeAutomaton:
-    """Single bottom-up pass over the depth layers (``automaton`` useless-free).
+    """Single bottom-up sweep of ``automaton.levels()`` (``automaton`` useless-free).
 
-    In a layered automaton every transition points one level down, so a
-    state's final signature only depends on strictly deeper states; one
-    sweep from the leaf layer to the roots reaches the congruence fixpoint
-    without re-hashing any subtree twice.  Raises :class:`ValueError` when
-    ``automaton._state_depths()`` is ``None``: a state reachable at two
-    depths, or one on a cycle, has no layer.
+    Every transition points one level down, so a state's final signature
+    only depends on states of the level below; one sweep from the leaf
+    level to the roots reaches the congruence fixpoint without re-hashing
+    any subtree twice.  Within a level, states are visited in increasing id
+    order, so each class keeps its lowest id.  Raises :class:`ValueError`
+    when the automaton is not layered.
     """
-    depths = automaton._state_depths()
-    if depths is None:
-        raise ValueError(
-            "cannot reduce a non-layered automaton: a state is reachable at "
-            "two depths (or lies on a cycle)"
-        )
     internal = automaton.internal
     leaves = automaton.leaves
-    by_depth: Dict[int, List[int]] = {}
-    for state, depth in depths.items():
-        by_depth.setdefault(depth, []).append(state)
-
     representative: Dict[int, int] = {}
     merged_any = False
-    for depth in sorted(by_depth, reverse=True):
+    for level in reversed(automaton.levels()):
         table: Dict[object, int] = {}
-        for state in sorted(by_depth[depth]):
+        for state in sorted(level):
             if state in leaves:
                 signature: object = leaves[state]
             else:
                 signature = frozenset(
                     (symbol, representative[left], representative[right])
-                    for symbol, left, right in internal.get(state, ())
+                    for symbol, left, right in internal[state]
                 )
             previous = table.get(signature)
             if previous is None:

@@ -865,6 +865,16 @@ class TestJsonErrorEnvelope:
             "os-error")
         assert "cannot write report" in document["message"]
 
+    def test_unreadable_fault_plan_is_an_invalid_request(self, tmp_path, capsys):
+        plan = tmp_path / "missing" / "plan.json"
+        document = self._run_error(
+            capsys,
+            ["campaign", "--family", "bv", "--size", "3", "--mutants", "1", "--no-cache",
+             "--no-store", "--report", str(tmp_path / "r.jsonl"), "--faults", str(plan),
+             "--json"],
+            "invalid-request")
+        assert str(plan) in document["message"]
+
     def test_resume_of_unknown_campaign_is_a_manifest_error(self, tmp_path, capsys):
         self._run_error(
             capsys,

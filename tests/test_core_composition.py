@@ -122,14 +122,19 @@ def tagged_language(automaton):
 
 
 def swap_chain_projection(automaton, qubit, bit):
-    """The paper's Prj (Eq. 13, Algs. 6-8): swap the qubit down, copy, swap back."""
+    """The paper's Prj (Eq. 13, Algs. 6-8): swap the qubit down, copy, swap back.
+
+    The intermediates are not reduced: a forward swap puts qubit ``q + 1`` at
+    depth ``q``, off its level, and ``reduce()`` refuses a non-layered
+    automaton.
+    """
     depth_moves = automaton.num_qubits - 1 - qubit
     result = automaton
     for _ in range(depth_moves):
-        result = forward_swap(result, qubit).reduce()
+        result = forward_swap(result, qubit)
     result = subtree_copy(result, qubit, bit)
     for _ in range(depth_moves):
-        result = backward_swap(result, qubit).reduce()
+        result = backward_swap(result, qubit)
     return result
 
 
@@ -434,9 +439,7 @@ class TestRestrictFusion:
         automaton = tag(all_basis_states_ta(6))
         restricted = restrict(automaton, 3, 0)
         # only states strictly below qubit 3 may be duplicated
-        below = {
-            state for state, depth in automaton._state_depths().items() if depth > 3
-        }
+        below = set().union(*automaton.levels()[4:])
         assert restricted.num_states <= automaton.num_states + len(below)
         kept_one = untag(restricted)
         assert kept_one.num_qubits == 6

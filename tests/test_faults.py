@@ -104,6 +104,13 @@ class TestFaultPlan:
         assert plan.spec_for("store.get").kind == "delay"
         assert plan.spec_for("store.put") is None
 
+    def test_unreadable_plan_path_is_a_value_error_naming_it(self, tmp_path):
+        missing = str(tmp_path / "missing" / "plan.json")
+        with pytest.raises(ValueError, match="missing/plan.json"):
+            FaultPlan.parse(missing)
+        with pytest.raises(ValueError, match="cannot read fault plan"):
+            plan_from_env({"AUTOQ_REPRO_FAULTS": missing})
+
     def test_plan_from_env_inline_and_path(self, tmp_path):
         assert plan_from_env({}) is None
         assert plan_from_env({"AUTOQ_REPRO_FAULTS": ""}) is None

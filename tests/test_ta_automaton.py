@@ -31,6 +31,26 @@ def two_depth_automaton() -> TreeAutomaton:
     )
 
 
+def misplaced_leaf_automaton() -> TreeAutomaton:
+    """A 2-qubit automaton whose only leaf sits at depth 1 instead of 2."""
+    return TreeAutomaton(2, {0}, {0: [(make_symbol(0), 1, 1)]}, {1: ONE})
+
+
+#: automata that break the one layering rule, each in a different way
+NON_LAYERED = {
+    "misplaced-leaf": misplaced_leaf_automaton,
+    "two-depths": two_depth_automaton,
+    "leaf-and-internal": lambda: TreeAutomaton(
+        1, {0}, {0: [(make_symbol(0), 1, 1)], 1: [(make_symbol(0), 1, 1)]}, {1: ONE}),
+    "root-reads-qubit-1": lambda: TreeAutomaton(
+        2, {0}, {0: [(make_symbol(1), 1, 1)]}, {1: ONE}),
+    "two-qubits-in-one-state": lambda: TreeAutomaton(
+        2, {0},
+        {0: [(make_symbol(0), 1, 1), (make_symbol(1), 2, 2)], 1: [(make_symbol(1), 2, 2)]},
+        {2: ONE}),
+}
+
+
 class TestSymbols:
     def test_make_and_project(self):
         symbol = make_symbol(3, (7,))
@@ -79,13 +99,7 @@ class TestBasicProperties:
         assert basis_state_ta(2, "01") != basis_state_ta(2, "10")
 
     def test_validate_rejects_misplaced_leaf(self):
-        misplaced = TreeAutomaton(
-            2,
-            {0},
-            {0: [(make_symbol(0), 1, 1)]},
-            {1: ONE},  # leaf at depth 1 instead of 2
-        )
-        for broken in (misplaced, two_depth_automaton()):
+        for broken in (misplaced_leaf_automaton(), two_depth_automaton()):
             with pytest.raises(ValueError):
                 broken.validate()
 
@@ -98,6 +112,28 @@ class TestBasicProperties:
         )
         with pytest.raises(ValueError):
             broken.validate()
+
+
+class TestLevels:
+    def test_levels_group_states_by_the_qubit_they_read(self):
+        automaton = all_basis_states_ta(3)
+        levels = automaton.levels()
+        assert len(levels) == 4
+        assert set(levels[3]) == set(automaton.leaves)
+        for qubit in range(3):
+            assert {parent for parent, *_ in automaton.transitions_at(qubit)} == set(levels[qubit])
+        assert set().union(*levels) == automaton.states
+
+    def test_a_child_without_rules_has_no_level_and_produces_nothing(self):
+        dangling = TreeAutomaton(1, {0}, {0: [(make_symbol(0), 1, 2)]}, {1: ONE})
+        assert dangling.levels() == ((0,), (1,))
+        assert dangling.is_empty()
+
+    @pytest.mark.parametrize("build", list(NON_LAYERED.values()), ids=list(NON_LAYERED))
+    @pytest.mark.parametrize("operation", ["validate", "reduce", "remove_useless", "is_empty"])
+    def test_every_pass_refuses_what_validate_refuses(self, build, operation):
+        with pytest.raises(ValueError, match="non-layered"):
+            getattr(build(), operation)()
 
 
 class TestLanguageOperations:

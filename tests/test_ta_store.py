@@ -7,6 +7,7 @@ exactly, including composition tags), the content-addressed on-disk store in
 the engine's two-tier lookup (process memo -> store -> compute + publish).
 """
 
+import hashlib
 import json
 import os
 import random
@@ -146,6 +147,28 @@ class TestFingerprint:
         ]
         for automaton, digest in golden:
             assert store_module.fingerprint(automaton) == digest
+
+    @pytest.mark.parametrize("family, size, mode, digest", [
+        ("grover-single", 3, "composition",
+         "30f33006542392addcb2797787a2a8b55ec4addbc30d0c38dd18204de89c383e"),
+        ("qft-zero", 3, "composition",
+         "7cbccdf1a4db55bc52c4d5ddcf0281daf28c0cb2fa96beddf6d54faffc5496de"),
+        ("bv", 4, "composition",
+         "ba0ed81df5e79af2c2a84adb8bc9d22e615259276a8259242e3a2c5127525419"),
+        ("grover-all", 3, "hybrid",
+         "9b7370c06dfb17369c08a77a0c1910c41e9a8badac9790802507b6aa13b20e59"),
+    ])
+    def test_golden_store_keys(self, tmp_path, family, size, mode, digest):
+        # every entry is keyed by the digest of the reduced automaton a gate
+        # was applied to, so the entry names pin the reduction's output bit
+        # for bit: a different representative or transition order would make
+        # every existing store miss
+        bench = build_family(family, size)
+        verify_triple(bench.precondition, bench.circuit, bench.postcondition, mode=mode,
+                      runtime=GateRuntime(store=AutomatonStore(str(tmp_path))))
+        names = sorted(path.name for path in tmp_path.glob("*/*.json"))
+        assert names
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == digest
 
 
 class TestAutomatonStore:
