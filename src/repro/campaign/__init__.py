@@ -23,7 +23,6 @@ from .cache import (
     ResultCache,
     atomic_write_json,
     default_cache_dir,
-    fingerprint_automaton,
     fingerprint_circuit,
     resolve_store_dir,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "default_cache_dir",
     "resolve_store_dir",
     "fingerprint_circuit",
-    "fingerprint_automaton",
     "atomic_write_json",
     "CampaignReportWriter",
     "read_report",

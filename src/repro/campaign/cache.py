@@ -21,14 +21,11 @@ from typing import Dict, Optional
 
 from ..circuits.circuit import Circuit
 from ..circuits.qasm import to_qasm
-from ..ta import serialization
-from ..ta.automaton import TreeAutomaton
 from ..ta.store import atomic_write_text, default_store_dir
 
 __all__ = [
     "fingerprint_circuit",
     "fingerprint_qasm",
-    "fingerprint_automaton",
     "default_cache_dir",
     "resolve_store_dir",
     "atomic_write_json",
@@ -88,13 +85,6 @@ def fingerprint_circuit(circuit: Circuit) -> str:
     """Deterministic digest of a circuit's gate-level content (name-independent:
     :func:`~repro.circuits.qasm.to_qasm` emits only the register and gates)."""
     return fingerprint_qasm(to_qasm(circuit))
-
-
-def fingerprint_automaton(automaton: TreeAutomaton) -> str:
-    """Deterministic digest of an (untagged) automaton, up to state renaming."""
-    canonical = automaton.relabelled()
-    lines = sorted(serialization.dumps(canonical).splitlines())
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 class ResultCache:

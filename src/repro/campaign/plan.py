@@ -29,7 +29,8 @@ from ..circuits.circuit import Circuit
 from ..circuits.mutations import MUTATION_OPERATORS, inject_random_gate
 from ..circuits.qasm import to_qasm
 from ..ta import serialization
-from .cache import fingerprint_automaton, fingerprint_qasm
+from ..ta.store import fingerprint
+from .cache import fingerprint_qasm
 
 __all__ = ["MUTATION_KINDS", "CampaignJob", "MutationPlan"]
 
@@ -111,8 +112,8 @@ class MutationPlan:
         """Materialise the full job list for one benchmark instance."""
         precondition_text = serialization.dumps(benchmark.precondition)
         postcondition_text = serialization.dumps(benchmark.postcondition)
-        precondition_fingerprint = fingerprint_automaton(benchmark.precondition)
-        postcondition_fingerprint = fingerprint_automaton(benchmark.postcondition)
+        precondition_fingerprint = fingerprint(benchmark.precondition)
+        postcondition_fingerprint = fingerprint(benchmark.postcondition)
         width = max(4, len(str(max(self.num_mutants - 1, 0))))
 
         def job_for(job_id: str, kind: str, circuit: Circuit, mutation: Optional[str], seed: Optional[int]) -> CampaignJob:

@@ -360,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"comma-separated mutation kinds from {MUTATION_KINDS} "
                            "(default: the full taxonomy)")
     fuzz.add_argument("--max-qubits", type=int, default=4,
-                      help="largest seed-circuit width to generate (default 4)")
+                      help="largest seed-circuit width to generate (default 4); "
+                           "also bounds the boolean check's universe, which "
+                           "stops at 3 qubits")
     fuzz.add_argument("--max-gates", type=int, default=10,
                       help="largest seed-circuit gate count to generate (default 10)")
     fuzz.add_argument("--path-sum", action="store_true",

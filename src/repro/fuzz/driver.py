@@ -56,6 +56,7 @@ class FuzzSettings:
 
     budget_seconds: float = 10.0
     seed: int = 0
+    #: widest cross-mode seed circuit; also bounds the boolean universe (at most 3)
     max_qubits: int = 4
     max_gates: int = 10
     checks: Tuple[str, ...] = FUZZ_CHECKS
@@ -258,7 +259,8 @@ def run_fuzz(
     corpus = None if settings.corpus_dir is None else Corpus(settings.corpus_dir)
     streams: List[Tuple[str, Iterator]] = []
     if "boolean" in settings.checks:
-        streams.append(("boolean", generate_boolean_cases(settings.seed, max_qubits=2)))
+        streams.append(
+            ("boolean", generate_boolean_cases(settings.seed, max_qubits=settings.max_qubits)))
     if "cross-mode" in settings.checks:
         streams.append(
             (

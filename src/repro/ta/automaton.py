@@ -82,8 +82,7 @@ class TreeAutomaton:
     """A (nondeterministic, finite) tree automaton encoding quantum-state sets."""
 
     __slots__ = ("num_qubits", "roots", "internal", "leaves", "_max_state", "_states",
-                 "_num_transitions", "_levels", "_digest", "_reduced", "_skey", "_by_qubit",
-                 "_pair_index")
+                 "_num_transitions", "_levels", "_digest", "_reduced", "_skey", "_pair_index")
 
     def __init__(
         self,
@@ -108,7 +107,6 @@ class TreeAutomaton:
         self._digest: Optional[str] = None
         self._reduced = False
         self._skey: Optional[tuple] = None
-        self._by_qubit: Optional[Dict[int, Tuple[Tuple[int, int, int], ...]]] = None
         self._pair_index: Optional[Dict[Tuple[int, Symbol], Tuple[Tuple[int, int], ...]]] = None
 
     @classmethod
@@ -140,7 +138,6 @@ class TreeAutomaton:
         self._digest = None
         self._reduced = False
         self._skey = None
-        self._by_qubit = None
         self._pair_index = None
         return self
 
@@ -179,12 +176,6 @@ class TreeAutomaton:
             for symbol, left, right in transitions:
                 yield parent, symbol, left, right
 
-    def transitions_at(self, qubit: int) -> Iterator[Tuple[int, Symbol, int, int]]:
-        """Iterate over internal transitions whose symbol belongs to ``qubit``."""
-        for parent, symbol, left, right in self.transitions():
-            if symbol_qubit(symbol) == qubit:
-                yield parent, symbol, left, right
-
     def pair_index(self) -> Dict[Tuple[int, Symbol], Tuple[Tuple[int, int], ...]]:
         """``(state, symbol) -> ((left, right), ...)`` product index (cached).
 
@@ -200,21 +191,6 @@ class TreeAutomaton:
                     grouped.setdefault((parent, symbol), []).append((left, right))
             self._pair_index = {key: tuple(value) for key, value in grouped.items()}
         return self._pair_index
-
-    def transitions_by_qubit(self) -> Dict[int, Tuple[Tuple[int, int, int], ...]]:
-        """``qubit -> ((parent, left, right), ...)`` level index (cached).
-
-        This is the flat per-level view the layered algorithms (membership,
-        determinization, complementation) iterate over; tags are dropped
-        because those algorithms only see untagged condition automata.
-        """
-        if self._by_qubit is None:
-            grouped: Dict[int, List[Tuple[int, int, int]]] = {}
-            for parent, transitions in self.internal.items():
-                for symbol, left, right in transitions:
-                    grouped.setdefault(symbol[0], []).append((parent, left, right))
-            self._by_qubit = {qubit: tuple(entries) for qubit, entries in grouped.items()}
-        return self._by_qubit
 
     def next_free_state(self) -> int:
         """Return an integer strictly greater than every existing state id."""
@@ -247,9 +223,10 @@ class TreeAutomaton:
         read qubit ``q``, and ``levels[n]`` the leaf states (cached).
 
         This is the one layering rule of the framework, checked on every
-        state, root-reachable or not.  Every bottom-up pass (useless-state
-        removal, the reduction, the support query) sweeps this index from the
-        leaves upward.  Raises :class:`ValueError` unless
+        state, root-reachable or not, and the one per-level view of an
+        automaton: useless-state removal, the reduction, the support query,
+        membership, the subset construction, counting and inclusion all
+        sweep this index.  Raises :class:`ValueError` unless
 
         * no state is both internal and a leaf,
         * all transitions of a state read one qubit ``q`` with ``0 <= q < n``,
@@ -396,13 +373,19 @@ class TreeAutomaton:
 
     # -------------------------------------------------------------- language
     def accepts(self, state: QuantumState) -> bool:
-        """Membership test: is the full-binary-tree encoding of ``state`` accepted?"""
+        """Membership test: is the full-binary-tree encoding of ``state`` accepted?
+
+        A subtree at depth ``d`` can only be generated by states of
+        ``levels()[d]``; an automaton that is not layered is refused with
+        :class:`ValueError`.
+        """
+        levels = self.levels()
         if state.num_qubits != self.num_qubits:
             return False
+        internal = self.internal
         leaf_states_by_amplitude: Dict[AlgebraicNumber, Set[int]] = {}
         for leaf_state, amplitude in self.leaves.items():
             leaf_states_by_amplitude.setdefault(amplitude, set()).add(leaf_state)
-        transitions_by_qubit = self.transitions_by_qubit()
 
         cache: Dict[Tuple[int, frozenset], frozenset] = {}
 
@@ -427,9 +410,11 @@ class TreeAutomaton:
                 right_states = reach(depth + 1, right_items)
                 states = set()
                 if left_states and right_states:
-                    for parent, left, right in transitions_by_qubit.get(depth, ()):
-                        if left in left_states and right in right_states:
-                            states.add(parent)
+                    for parent in levels[depth]:
+                        for _symbol, left, right in internal[parent]:
+                            if left in left_states and right in right_states:
+                                states.add(parent)
+                                break
                 result = frozenset(states)
             cache[key] = result
             return result

@@ -5,9 +5,12 @@ The pre- and post-conditions of the verification problem ``{P} C {Q}`` are
 operations.  This module provides the classical tree-automata constructions,
 specialised to the layered full-binary-tree languages used by the framework:
 
-* :func:`intersection` — product construction (``L(A) ∩ L(B)``),
-* :func:`complement` — layered subset construction + completion against an
-  explicit universe of leaf amplitudes, then root complementation,
+* :func:`intersection` — product construction (``L(A) ∩ L(B)``) probing the
+  right operand's cached :meth:`~repro.ta.automaton.TreeAutomaton.pair_index`,
+  the index ``Bin`` probes,
+* :func:`complement` — :func:`repro.ta.determinization.subset_construction`,
+  the one layered subset construction, run complete against an explicit
+  universe of leaf amplitudes, then root complementation,
 * :func:`difference` — ``L(A) \\ L(B)`` via intersection with a complement,
 * :func:`union` is already available as :meth:`TreeAutomaton.union`.
 
@@ -25,10 +28,11 @@ intermediate automata produced inside circuit analysis.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..algebraic import AlgebraicNumber
-from .automaton import InternalTransition, TreeAutomaton, make_symbol, symbol_qubit
+from .automaton import InternalTransition, TreeAutomaton
+from .determinization import subset_construction
 
 __all__ = ["intersection", "complement", "difference", "leaf_alphabet"]
 
@@ -56,13 +60,9 @@ def intersection(left: TreeAutomaton, right: TreeAutomaton) -> TreeAutomaton:
             pair_ids[pair] = len(pair_ids)
         return pair_ids[pair]
 
-    # per-(state, qubit) index over the right operand, so the product only
-    # enumerates genuinely matching transition pairs (tags are ignored here:
-    # intersection operates on untagged condition automata)
-    right_index: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for parent, transitions in right.internal.items():
-        for symbol, r_left, r_right in transitions:
-            right_index.setdefault((parent, symbol_qubit(symbol)), []).append((r_left, r_right))
+    # the right operand's cached (state, symbol) index, the one Bin probes:
+    # condition automata are untagged, so a symbol is just its qubit
+    right_index = right.pair_index()
 
     internal: Dict[int, List[InternalTransition]] = {}
     leaves: Dict[int, AlgebraicNumber] = {}
@@ -87,13 +87,10 @@ def intersection(left: TreeAutomaton, right: TreeAutomaton) -> TreeAutomaton:
             continue
         bucket = internal.setdefault(pair_id(pair), [])
         for symbol, l_left, l_right in left.internal.get(left_state, ()):
-            qubit = symbol_qubit(symbol)
-            for r_left, r_right in right_index.get((right_state, qubit), ()):
+            for r_left, r_right in right_index.get((right_state, symbol), ()):
                 child_left = (l_left, r_left)
                 child_right = (l_right, r_right)
-                bucket.append(
-                    (make_symbol(qubit), pair_id(child_left), pair_id(child_right))
-                )
+                bucket.append((symbol, pair_id(child_left), pair_id(child_right)))
                 stack.append(child_left)
                 stack.append(child_right)
     result = TreeAutomaton(left.num_qubits, roots, internal, leaves)
@@ -108,66 +105,18 @@ def complement(
 
     The universe consists of all full binary trees of the automaton's height
     whose leaves carry amplitudes from ``alphabet`` (default: the amplitudes
-    appearing in the automaton itself).  The construction is a complete,
-    layered subset construction — every tree of the universe reaches exactly
-    one macro-state per level — followed by complementing the set of root
-    macro-states.
+    appearing in the automaton itself).  The construction is the complete
+    :func:`~repro.ta.determinization.subset_construction` — every tree of the
+    universe reaches exactly one macro-state per level — whose roots are the
+    top-level macro-states holding no root of ``automaton``.
     """
     symbols = leaf_alphabet(automaton) if alphabet is None else tuple(dict.fromkeys(alphabet))
     if not symbols:
         raise ValueError("the leaf alphabet of the complement universe must not be empty")
     automaton = automaton.remove_useless()
-    num_qubits = automaton.num_qubits
-
-    macro_ids: Dict[Tuple[int, FrozenSet[int]], int] = {}
-
-    def macro_id(level: int, macro: FrozenSet[int]) -> int:
-        key = (level, macro)
-        if key not in macro_ids:
-            macro_ids[key] = len(macro_ids)
-        return macro_ids[key]
-
-    leaves: Dict[int, AlgebraicNumber] = {}
-    by_amplitude: Dict[AlgebraicNumber, FrozenSet[int]] = {}
-    for state, amplitude in automaton.leaves.items():
-        by_amplitude[amplitude] = by_amplitude.get(amplitude, frozenset()) | {state}
-    # one leaf state per alphabet symbol; distinct symbols must map to distinct
-    # leaf states even when their macro-state coincides (typically the empty set)
-    leaf_level_ids: List[Tuple[FrozenSet[int], int]] = []
-    for amplitude in symbols:
-        macro = by_amplitude.get(amplitude, frozenset())
-        identifier = macro_id(num_qubits, macro)
-        if identifier in leaves:
-            identifier = macro_id(num_qubits, frozenset({-1 - len(leaves)}) | macro)
-        leaves[identifier] = amplitude
-        leaf_level_ids.append((macro, identifier))
-
-    transitions_by_qubit = automaton.transitions_by_qubit()
-
-    internal: Dict[int, List[InternalTransition]] = {}
-    level_entries: List[Tuple[FrozenSet[int], int]] = leaf_level_ids
-    for qubit in range(num_qubits - 1, -1, -1):
-        level_transitions = transitions_by_qubit.get(qubit, [])
-        next_entries: Dict[int, FrozenSet[int]] = {}
-        for left_macro, left_id in level_entries:
-            for right_macro, right_id in level_entries:
-                parents = frozenset(
-                    parent
-                    for parent, left, right in level_transitions
-                    if left in left_macro and right in right_macro
-                )
-                parent_id = macro_id(qubit, parents)
-                next_entries[parent_id] = parents
-                internal.setdefault(parent_id, []).append(
-                    (make_symbol(qubit), left_id, right_id)
-                )
-        level_entries = [(macro, identifier) for identifier, macro in next_entries.items()]
-
-    roots = {
-        identifier for macro, identifier in level_entries if not (macro & automaton.roots)
-    }
-    result = TreeAutomaton(num_qubits, roots, internal, leaves)
-    return result.remove_useless()
+    leaves, internal, top = subset_construction(automaton, symbols, complete=True)
+    roots = {identifier for macro, identifier in top if automaton.roots.isdisjoint(macro)}
+    return TreeAutomaton(automaton.num_qubits, roots, internal, leaves).remove_useless()
 
 
 def difference(

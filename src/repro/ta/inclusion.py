@@ -7,7 +7,9 @@ check fails, a *witness* quantum state accepted by one side but not the other
 is returned for diagnosis.
 
 The algorithm is an antichain-style bottom-up product exploration specialised
-to the layered, acyclic automata produced by this library:
+to the layered, acyclic automata produced by this library (a depth-``d``
+state of ``A`` is matched against the level-``d`` transitions of ``B``, read
+from :meth:`~repro.ta.automaton.TreeAutomaton.levels`):
 
 * for every state ``q`` of ``A`` we compute the set of *macro-states*
   ``S ⊆ Q_B`` such that some tree ``t`` is generated by ``q`` in ``A`` and
@@ -70,7 +72,12 @@ def check_inclusion(left: TreeAutomaton, right: TreeAutomaton) -> InclusionResul
     right_leaf_states: Dict[AlgebraicNumber, FrozenSet[int]] = {}
     for state, amplitude in right.leaves.items():
         right_leaf_states[amplitude] = right_leaf_states.get(amplitude, frozenset()) | {state}
-    right_transitions_by_qubit = right.transitions_by_qubit()
+    # the right operand's transitions per level, flattened once per call
+    right_by_level = [
+        [(parent, l_state, r_state)
+         for parent in level for _symbol, l_state, r_state in right.internal[parent]]
+        for level in right.levels()[:-1]
+    ]
 
     # pairs[q] maps a minimal macro-state S to a witness subtree generated by q
     # whose set of generating right-states is S.
@@ -96,7 +103,7 @@ def check_inclusion(left: TreeAutomaton, right: TreeAutomaton) -> InclusionResul
             witness: _SparseTree = () if amplitude.is_zero() else (((), amplitude),)
             insert_minimal(bucket, macro, witness)
         else:
-            candidates = right_transitions_by_qubit.get(depth, ())
+            candidates = right_by_level[depth]
             for symbol, left_child, right_child in left.internal.get(state, ()):
                 left_pairs = pairs(left_child, depth + 1)
                 right_pairs = pairs(right_child, depth + 1)

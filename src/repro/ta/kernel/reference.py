@@ -9,7 +9,8 @@ layered (level ``q`` states read only qubit ``q``, leaves sit on level
 ``n``), so ``remove_useless`` and ``reduce_layered`` each sweep the level
 index :meth:`TreeAutomaton.levels <repro.ta.automaton.TreeAutomaton.levels>`
 from the leaves upward, and both refuse a non-layered input with
-:class:`ValueError`.
+:class:`ValueError`.  ``remove_useless`` hands the kept part of its input's
+index to the automaton it builds, so a reduction builds the index once.
 
 :class:`ReferenceBackend` exposes the functions as methods of one instance
 (:func:`repro.ta.kernel.active_backend`);
@@ -39,7 +40,9 @@ def remove_useless(automaton: TreeAutomaton) -> TreeAutomaton:
     level and never produces), so one sweep of ``automaton.levels()`` from
     the leaves upward decides productivity, and one sweep down from the roots
     decides reachability.  Returns ``automaton`` itself (identity) when every
-    state is useful; raises :class:`ValueError` when it is not layered.
+    state is useful; otherwise the new automaton carries the filtered level
+    index, so ``reduce_layered`` does not build it again.  Raises
+    :class:`ValueError` when ``automaton`` is not layered.
     """
     levels = automaton.levels()
     internal = automaton.internal
@@ -76,7 +79,11 @@ def remove_useless(automaton: TreeAutomaton) -> TreeAutomaton:
     roots = automaton.roots if keep >= automaton.roots else frozenset(
         root for root in automaton.roots if root in keep
     )
-    return TreeAutomaton._make(automaton.num_qubits, roots, new_internal, leaves)
+    result = TreeAutomaton._make(automaton.num_qubits, roots, new_internal, leaves)
+    # a kept state keeps its level and at least one transition, so the kept
+    # part of this index is exactly what levels() would rebuild
+    result._levels = tuple(tuple(state for state in level if state in keep) for level in levels)
+    return result
 
 
 def reduce_layered(automaton: TreeAutomaton) -> TreeAutomaton:

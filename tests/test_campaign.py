@@ -11,7 +11,6 @@ from repro.campaign import (
     CampaignReportWriter,
     MutationPlan,
     ResultCache,
-    fingerprint_automaton,
     fingerprint_circuit,
     read_report,
     run_campaign,
@@ -48,15 +47,6 @@ class TestFingerprints:
         first = Circuit(2).add("h", 0)
         second = Circuit(2).add("h", 1)
         assert fingerprint_circuit(first) != fingerprint_circuit(second)
-
-    def test_automaton_fingerprint_is_stable_under_state_renaming(self):
-        automaton = basis_state_ta(3, "010")
-        assert fingerprint_automaton(automaton) == fingerprint_automaton(automaton.shifted(40))
-
-    def test_automaton_fingerprint_distinguishes_languages(self):
-        assert fingerprint_automaton(basis_state_ta(2, "00")) != fingerprint_automaton(
-            basis_state_ta(2, "01")
-        )
 
 
 class TestMutationPlan:

@@ -23,6 +23,7 @@ import json
 import pytest
 
 import repro.core.engine as engine_module
+import repro.fuzz.driver as driver_module
 import repro.ta.boolean as boolean_module
 from repro.api import FuzzProblem, FuzzResult, Problem, Result, Session
 from repro.circuits import Circuit
@@ -234,6 +235,21 @@ class TestDriver:
         a = run_fuzz(FuzzSettings(budget_seconds=60, seed=5, max_cases=15))
         b = run_fuzz(FuzzSettings(budget_seconds=60, seed=5, max_cases=15))
         assert (a.cases, a.prefiltered, a.findings) == (b.cases, b.prefiltered, b.findings)
+
+    def test_boolean_cases_reach_the_max_qubits_bound(self, monkeypatch):
+        widths = []
+        run_case = driver_module._run_boolean_case
+
+        def recording(case, outcome, corpus):
+            widths.append(case.num_qubits)
+            return run_case(case, outcome, corpus)
+
+        monkeypatch.setattr(driver_module, "_run_boolean_case", recording)
+        outcome = run_fuzz(FuzzSettings(
+            budget_seconds=60, seed=0, checks=("boolean",), max_qubits=3, max_cases=12,
+        ))
+        assert outcome.divergences == 0, outcome.findings
+        assert max(widths) == 3
 
     def test_broken_complement_is_caught_and_minimized(self, tmp_path, broken_complement):
         outcome = run_fuzz(FuzzSettings(

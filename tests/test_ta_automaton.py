@@ -1,5 +1,8 @@
 """Tests for the tree-automaton data structure and its basic algorithms."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.algebraic import ONE, SQRT2_INV, ZERO, AlgebraicNumber
@@ -9,12 +12,22 @@ from repro.ta import (
     all_basis_states_ta,
     basis_product_ta,
     basis_state_ta,
+    check_inclusion,
+    complement,
+    count_language,
+    determinize,
     from_quantum_state,
     from_quantum_states,
+    intersection,
+    leaf_alphabet,
     make_symbol,
     symbol_qubit,
     symbol_tags,
 )
+from repro.ta.serialization import to_payload
+
+
+HALF = AlgebraicNumber(1, 0, 0, 0, 2)
 
 
 def bell_state() -> QuantumState:
@@ -51,6 +64,50 @@ NON_LAYERED = {
 }
 
 
+#: every language operation that reads the level index, applied to ``broken``
+LANGUAGE_OPERATIONS = {
+    "accepts": lambda broken: broken.accepts(QuantumState.zero_state(broken.num_qubits)),
+    "check_inclusion-left": lambda broken: check_inclusion(
+        broken, all_basis_states_ta(broken.num_qubits)),
+    "check_inclusion-right": lambda broken: check_inclusion(
+        basis_state_ta(broken.num_qubits, 0), broken),
+    "determinize": determinize,
+    "complement": complement,
+    "intersection": lambda broken: intersection(broken, all_basis_states_ta(broken.num_qubits)),
+    "count_language": count_language,
+}
+
+
+def useless_states_automaton() -> TreeAutomaton:
+    """A 3-qubit basis set plus a root whose branch ends in a state without
+    rules (unproductive) and a qubit-1 state nothing points at (unreachable)."""
+    base = basis_product_ta(3, [{0, 1}, {0}, {1}])
+    fresh = base.next_free_state()
+    internal = dict(base.internal)
+    internal[fresh] = ((make_symbol(0), fresh + 1, fresh + 1),)
+    internal[fresh + 1] = ((make_symbol(1), fresh + 2, fresh + 3),)
+    internal[fresh + 2] = ((make_symbol(2), fresh + 4, fresh + 4),)
+    internal[fresh + 5] = ((make_symbol(1), fresh + 2, fresh + 2),)
+    leaves = dict(base.leaves)
+    leaves[fresh + 4] = ONE
+    return TreeAutomaton(3, set(base.roots) | {fresh}, internal, leaves)
+
+
+#: automata with states remove_useless drops, each kind on its own and all together
+WITH_USELESS_STATES = {
+    "unreachable-leaf": lambda: TreeAutomaton(
+        1, {0}, {0: [(make_symbol(0), 1, 1)]}, {1: ONE, 2: ZERO}),
+    "unproductive-branch": lambda: TreeAutomaton(
+        2, {0},
+        {0: [(make_symbol(0), 1, 2), (make_symbol(0), 1, 1)], 1: [(make_symbol(1), 3, 3)],
+         2: [(make_symbol(1), 4, 4)]},
+        {3: ONE}),
+    "dangling-child": lambda: TreeAutomaton(
+        1, {0}, {0: [(make_symbol(0), 1, 1), (make_symbol(0), 1, 2)]}, {1: ONE}),
+    "all-kinds": useless_states_automaton,
+}
+
+
 class TestSymbols:
     def test_make_and_project(self):
         symbol = make_symbol(3, (7,))
@@ -77,14 +134,6 @@ class TestBasicProperties:
         # Example 3.1: 2n + 1 states (+ a zero leaf) and ~3n + 1 transitions
         assert automaton.num_states <= 2 * 3 + 2
         assert automaton.num_transitions <= 3 * 3 + 2
-
-    def test_transitions_at(self):
-        automaton = all_basis_states_ta(3)
-        for qubit in range(3):
-            assert all(
-                symbol_qubit(symbol) == qubit
-                for _p, symbol, _l, _r in automaton.transitions_at(qubit)
-            )
 
     def test_next_free_state_is_fresh(self):
         automaton = all_basis_states_ta(2)
@@ -121,7 +170,8 @@ class TestLevels:
         assert len(levels) == 4
         assert set(levels[3]) == set(automaton.leaves)
         for qubit in range(3):
-            assert {parent for parent, *_ in automaton.transitions_at(qubit)} == set(levels[qubit])
+            assert {parent for parent, symbol, _l, _r in automaton.transitions()
+                    if symbol_qubit(symbol) == qubit} == set(levels[qubit])
         assert set().union(*levels) == automaton.states
 
     def test_a_child_without_rules_has_no_level_and_produces_nothing(self):
@@ -134,6 +184,37 @@ class TestLevels:
     def test_every_pass_refuses_what_validate_refuses(self, build, operation):
         with pytest.raises(ValueError, match="non-layered"):
             getattr(build(), operation)()
+
+    @pytest.mark.parametrize("build", list(NON_LAYERED.values()), ids=list(NON_LAYERED))
+    @pytest.mark.parametrize("operation", list(LANGUAGE_OPERATIONS))
+    def test_every_language_operation_refuses_what_validate_refuses(self, build, operation):
+        with pytest.raises(ValueError, match="non-layered"):
+            LANGUAGE_OPERATIONS[operation](build())
+
+    @pytest.mark.parametrize("build", list(WITH_USELESS_STATES.values()),
+                             ids=list(WITH_USELESS_STATES))
+    def test_remove_useless_hands_its_result_the_level_index(self, build):
+        cleaned = build().remove_useless()
+        assert cleaned._levels is not None
+        fresh = TreeAutomaton(cleaned.num_qubits, cleaned.roots, cleaned.internal, cleaned.leaves)
+        assert cleaned._levels == fresh.levels()
+
+    @pytest.mark.parametrize("build", list(WITH_USELESS_STATES.values()),
+                             ids=list(WITH_USELESS_STATES))
+    def test_one_reduce_builds_the_level_index_once(self, build, monkeypatch):
+        bloated = build()
+        built = []
+        levels = TreeAutomaton.levels
+
+        def counting_levels(automaton):
+            if automaton._levels is None:
+                built.append(automaton)
+            return levels(automaton)
+
+        monkeypatch.setattr(TreeAutomaton, "levels", counting_levels)
+        reduced = bloated.reduce()
+        assert reduced is not bloated
+        assert len(built) == 1 and built[0] is bloated
 
 
 class TestLanguageOperations:
@@ -285,15 +366,6 @@ class TestCompactFormAndCaches:
         assert left.structure_key() != right.structure_key()
         assert left.structure_key() == basis_state_ta(2, "01").structure_key()
 
-    def test_transitions_by_qubit_index_is_complete(self):
-        automaton = all_basis_states_ta(3)
-        index = automaton.transitions_by_qubit()
-        total = sum(len(entries) for entries in index.values())
-        assert total == sum(len(ts) for ts in automaton.internal.values())
-        for qubit, entries in index.items():
-            via_iterator = {(p, l, r) for p, _s, l, r in automaton.transitions_at(qubit)}
-            assert set(entries) == via_iterator
-
     def test_remove_useless_worklist_handles_deep_chains(self):
         # a chain of states where productivity propagates through many levels:
         # the worklist must converge without quadratic re-sweeps and keep the
@@ -350,3 +422,35 @@ class TestEqualityFastPath:
         right = basis_state_ta(3, 2)
         left.structure_key(), right.structure_key()
         assert left != right
+
+
+class TestLevelWiseConstructionsAreStable:
+    """Outputs of the subset construction and the product, pinned bit for bit."""
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: (basis_state_ta(2, "00").union(basis_state_ta(2, "11")),
+                  all_basis_states_ta(2)),
+         "7ff00add21fa0463cf594ee6712c192e183fdd0863712f38c2dab2d91b2a960c"),
+        (lambda: (from_quantum_states([bell_state(), QuantumState.basis_state(2, "01")],
+                                      reduce=False),
+                  from_quantum_states([bell_state()])),
+         "33d2af4bd3c8cc4d96a924219e287f89d00806576d5d02fd43aa99806f4d28d0"),
+        (lambda: (useless_states_automaton(), all_basis_states_ta(3)),
+         "e99c0107da04b80c8084058c81986bbb8770d27e96d2a0ac96b3e6d6cf4f32ad"),
+        (lambda: (from_quantum_states([QuantumState(1, {(0,): HALF, (1,): HALF}),
+                                       QuantumState.basis_state(1, 1)], reduce=False),
+                  all_basis_states_ta(1)),
+         "e7daa32120e334286c83cbfbd6d2d84bd2d8b61e4aba04e14dbf43581bc75a13"),
+    ], ids=["basis-union", "superposed", "useless-states", "mixed-alphabet"])
+    def test_golden_outputs(self, build, digest):
+        # state ids and transition order are pinned too; the widened alphabet
+        # holds two amplitudes the automaton lacks, which share the empty macro
+        left, right = build()
+        outputs = [
+            determinize(left),
+            complement(left),
+            complement(left, leaf_alphabet(left, right) + (SQRT2_INV, HALF)),
+            intersection(left, right),
+        ]
+        material = json.dumps([to_payload(output) for output in outputs], sort_keys=True)
+        assert hashlib.sha256(material.encode()).hexdigest() == digest
